@@ -154,25 +154,32 @@ def _eigenvalues_below(n: int, r: int, x: float) -> int:
     return count
 
 
+def _bisect(lo: float, hi: float, width: float, above) -> tuple[float, float]:
+    """Shrink [lo, hi] to width around the point where above(x) turns False.
+
+    Also stops once lo and hi are adjacent floats, which comes first where
+    floats are spaced wider than width (from 2^13 at 1e-12, 2^19 at 1e-10).
+    """
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return lo, hi
+
+
 @lru_cache(maxsize=None)
 def lambda_ball_exact(n: int, r: int) -> float:
     """Top eigenvalue of the subgraph induced by the ball B(r) in {0,1}^n.
 
-    Sturm bisection on [0, n+1] to absolute width 1e-10; the certified
-    accuracy is well below the documented 1e-9.
+    Sturm bisection on [0, n+1] to absolute width 1e-10 (or to adjacent
+    floats, above 2^19), well below the documented 1e-9.
     """
     if not 0 <= r <= n:
         raise ValueError(f"radius must be in [0, n], got r={r} n={n}")
     if r == 0:
         return 0.0
-    lo, hi = 0.0, float(n) + 1.0
-    want = r + 1
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if _eigenvalues_below(n, r, mid) >= want:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect(0.0, n + 1.0, 1e-10, lambda x: _eigenvalues_below(n, r, x) <= r)
     return 0.5 * (lo + hi)
 
 
@@ -208,8 +215,9 @@ def lambda_for_radius_recurrence(n: int, r: int) -> BallEigenWitness:
 
     The predicate "first nonpositive index <= r+1" is monotone in lam (the
     sign change moves outward as lam grows), so bisection on [0, n] converges
-    to the top eigenvalue of the radius-r truncation; the witness keeps the
-    positive head g(0..p) of the profile evaluated on the feasible side.
+    to the top eigenvalue of the radius-r truncation (width 1e-12, or adjacent
+    floats above 2^13); the witness keeps the positive head g(0..p) of the
+    profile evaluated on the feasible side.
     """
     if not 0 <= r <= n:
         raise ValueError(f"radius must be in [0, n], got r={r} n={n}")
@@ -217,16 +225,7 @@ def lambda_for_radius_recurrence(n: int, r: int) -> BallEigenWitness:
     def feasible(lam: float) -> bool:
         return eigen_recurrence(n, lam)[1] <= r + 1
 
-    lo, hi = 0.0, float(n)
-    if feasible(hi):
-        lo = hi
-    else:
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
+    lo = float(n) if feasible(float(n)) else _bisect(0.0, float(n), 1e-12, feasible)[0]
     g, first_nonpos = eigen_recurrence(n, lo)
     p = first_nonpos - 1 if first_nonpos <= n else n
     profile = SymmetricProfile(n, g.values[: p + 1])

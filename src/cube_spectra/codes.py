@@ -18,8 +18,10 @@ import numpy as np
 from .cube_fourier import (
     CubeFunction,
     IntCubeFunction,
+    _butterfly,
     hamming_weights,
     int_wht,
+    krawtchouk,
 )
 
 
@@ -57,9 +59,7 @@ class Code:
         return len(self.points)
 
     def indicator(self) -> CubeFunction:
-        vals = np.zeros(1 << self.n)
-        vals[list(self.points)] = 1.0
-        return CubeFunction(self.n, vals)
+        return CubeFunction(self.n, self.int_indicator().values)
 
     def int_indicator(self) -> IntCubeFunction:
         vals = np.zeros(1 << self.n, dtype=np.int64)
@@ -168,37 +168,53 @@ def min_distance(c: Code) -> int:
     return best
 
 
-@lru_cache(maxsize=1024)
-def _pair_counts(c: Code) -> np.ndarray:
-    """counts[x] = number of ordered pairs (u, v) in C^2 with u XOR v = x.
-
-    Exact: square the unnormalized integer transform of the indicator and
-    transform back; every value is 2^n * counts[x], an exact int64.
-    """
-    t = int_wht(c.int_indicator()).values.copy()
-    t *= t
-    from .cube_fourier import _butterfly
-
-    back = _butterfly(t)
-    assert not (back & ((1 << c.n) - 1)).any()
-    counts = back >> c.n
-    counts.flags.writeable = False
-    return counts
+def _exact_shift(a: np.ndarray, n: int) -> np.ndarray:
+    """a / 2^n for integer entries that must all be multiples of 2^n."""
+    if (a & ((1 << n) - 1)).any():
+        raise ArithmeticError(f"integer transform not divisible by 2^{n}")
+    return a >> n
 
 
 def autocorrelation(c: Code) -> CubeFunction:
-    """The function x -> mean_y 1_C(y) 1_C(x XOR y); exact and nonnegative."""
-    return CubeFunction(c.n, _pair_counts(c) / float(1 << c.n))
+    """The function x -> mean_y 1_C(y) 1_C(x XOR y); exact and nonnegative.
+
+    Transforming the squared integer transform of 1_C back gives 4^n times
+    it: 2^n times the exact number of ordered pairs with u XOR v = x.
+    """
+    t = int_wht(c.int_indicator()).values
+    return CubeFunction(c.n, _exact_shift(_butterfly(t * t), c.n) / float(1 << c.n))
+
+
+def weight_spectra(indicators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (P, T) of a stack of code indicators (last axis 2^n, 0/1).
+
+    With t the integer transform of an indicator, T[s] = sum over |S| = s of
+    t(S)^2 and P[w], the ordered codeword pairs at distance w, is
+    (K T)[w] / 2^n by MacWilliams, K the Krawtchouk matrix; P[0] = |C|.
+    |K[w, s]| < 2^n and sum(T) = 2^n |C| <= 4^n keep K T below 2^(3n):
+    int64 through n = 20, Python integers above.
+    """
+    n = indicators.shape[-1].bit_length() - 1
+    t = _butterfly(indicators.astype(np.int64))
+    w = hamming_weights(n)
+    order = np.argsort(w, kind="stable")
+    levels = np.searchsorted(w[order], np.arange(n + 1))
+    sums = np.add.reduceat((t * t)[..., order], levels, axis=-1)
+    k = krawtchouk(n)
+    if n > 20:
+        sums, k = sums.astype(object), k.astype(object)
+    return _exact_shift(sums @ k.T, n), sums
+
+
+def first_positive_weight(sums: np.ndarray) -> np.ndarray:
+    """First w > 0 with sums[..., w] > 0, else n+1 (distance on P, dual on T)."""
+    hit = sums[..., 1:] > 0
+    return np.where(hit.any(axis=-1), hit.argmax(axis=-1) + 1, sums.shape[-1])
 
 
 def min_distance_autocorrelation(c: Code) -> int:
     """Distance via the support of the autocorrelation; exact integer route."""
-    counts = _pair_counts(c)
-    w = hamming_weights(c.n)
-    hit = (counts != 0) & (w > 0)
-    if not hit.any():
-        return c.n + 1
-    return int(w[hit].min())
+    return int(first_positive_weight(weight_spectra(c.int_indicator().values)[0]))
 
 
 def dual_distance(c: Code) -> int:
@@ -210,10 +226,7 @@ def dual_distance(c: Code) -> int:
     """
     t = int_wht(c.int_indicator()).values
     w = hamming_weights(c.n)
-    hit = (t != 0) & (w > 0)
-    if not hit.any():
-        return c.n + 1
-    return int(w[hit].min())
+    return int(w[(t != 0) & (w > 0)].min(initial=c.n + 1))
 
 
 def dual_code(c: LinearCode) -> LinearCode:
@@ -230,15 +243,14 @@ def dual_code(c: LinearCode) -> LinearCode:
                 v |= 1 << p
         basis.append(v)
     dual = LinearCode.from_spanning(c.n, basis)
-    assert c.dim + dual.dim == c.n
+    if c.dim + dual.dim != c.n:
+        raise ArithmeticError(f"dual has dimension {dual.dim}, not {c.n - c.dim}")
     return dual
 
 
 def distance_distribution(c: Code) -> DistanceDistribution:
-    counts = _pair_counts(c)
-    w = hamming_weights(c.n)
-    per_weight = np.bincount(w, weights=counts.astype(np.float64), minlength=c.n + 1)
-    return DistanceDistribution(c.n, tuple(per_weight / c.size))
+    pairs, _ = weight_spectra(c.int_indicator().values)
+    return DistanceDistribution(c.n, tuple(pairs / c.size))
 
 
 def enumerate_linear_codes(n: int, k: int):

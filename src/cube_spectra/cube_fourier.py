@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -53,8 +54,27 @@ def hamming_weights(n: int) -> np.ndarray:
     return w
 
 
-def _freeze(values, dtype) -> np.ndarray:
+@lru_cache(maxsize=64)
+def krawtchouk(n: int) -> np.ndarray:
+    """Read-only int64 K[i, w] = sum over |x| = i of (-1)^<x,S>, any |S| = w.
+
+    If f(x) = g(|x|), then 2^n (wht f)(S) = sum_i g(i) K[i, |S|].  K[i, 0]
+    is C(n, i), and |K[i, w]| <= C(n, i).
+    """
+    k = np.array([[sum((-1) ** j * comb(w, j) * comb(n - w, i - j) for j in range(i + 1))
+                   for w in range(n + 1)] for i in range(n + 1)], dtype=np.int64)
+    k.flags.writeable = False
+    return k
+
+
+def _checked_values(n: int, values, dtype) -> np.ndarray:
+    """Frozen flat copy of 2^n values; n must be within the transform cap."""
+    cap = transform_dimension_cap()
+    if not 1 <= n <= cap:
+        raise ValueError(f"dimension must be in [1, {cap}], got {n}")
     out = np.array(values, dtype=dtype, copy=True).reshape(-1)
+    if out.shape != (1 << n,):
+        raise ValueError(f"expected {1 << n} values for n={n}, got {out.shape[0]}")
     out.flags.writeable = False
     return out
 
@@ -67,14 +87,7 @@ class CubeFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        cap = transform_dimension_cap()
-        if not 1 <= self.n <= cap:
-            raise ValueError(f"dimension must be in [1, {cap}], got {self.n}")
-        vals = _freeze(self.values, np.float64)
-        if vals.shape != (1 << self.n,):
-            raise ValueError(
-                f"expected {1 << self.n} values for n={self.n}, got {vals.shape[0]}"
-            )
+        vals = _checked_values(self.n, self.values, np.float64)
         if not np.isfinite(vals).all():
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", vals)
@@ -92,30 +105,23 @@ class IntCubeFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        cap = transform_dimension_cap()
-        if not 1 <= self.n <= cap:
-            raise ValueError(f"dimension must be in [1, {cap}], got {self.n}")
-        vals = _freeze(self.values, np.int64)
-        if vals.shape != (1 << self.n,):
-            raise ValueError(
-                f"expected {1 << self.n} values for n={self.n}, got {vals.shape[0]}"
-            )
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _checked_values(self.n, self.values, np.int64))
 
 
 def _butterfly(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard butterfly, in place on ``a``.
+    """Unnormalized Walsh-Hadamard butterfly along the last axis, in place.
 
-    Works for float64 and int64 buffers alike; self-inverse up to 2^n.
+    ``a`` must be C-contiguous; a stack of functions is transformed row by
+    row.  Works for float64 and int64 buffers alike; self-inverse up to 2^n.
     """
-    m = a.shape[0]
+    m = a.shape[-1]
     h = 1
     while h < m:
-        view = a.reshape(-1, 2, h)
-        top = view[:, 0, :].copy()
-        bot = view[:, 1, :]
-        view[:, 0, :] = top + bot
-        view[:, 1, :] = top - bot
+        view = a.reshape(a.shape[:-1] + (-1, 2, h))
+        top = view[..., 0, :].copy()
+        bot = view[..., 1, :]
+        view[..., 0, :] = top + bot
+        view[..., 1, :] = top - bot
         h <<= 1
     return a
 

@@ -21,6 +21,21 @@ also has distance min(d, floor(n/2)), the checks run the premise against
 that effective distance: every d <= n/2 case is untouched, and the d > n/2
 pairings are classified premise-unmet instead of asserting a false claim.
 
+The moments come from transforms: F's transform is the product of its
+factors', phi's squared transform is the pair-count function of C over 2^n
+and that of 1_C is t^2 / 4^n (t the integer transform).  For a Hamming ball
+the witness profile g makes fhat radial, fhat_w = 2^-n sum_i g_i K_i(w) (K
+the Krawtchouk matrix), so the sums run over the n+1 weights against the
+exact distance distribution P and the dual weight sums T, P = K T / 2^n by
+MacWilliams (:func:`weight_spectra`); phi's ratio is sum(P) / P_0:
+
+    size:      mean(F) = sqrt(|C|/2^n) fhat_0,  mean(F^2) = 2^-n sum P_w fhat_w^2
+    covering:  mean(F) = (|C|/2^n) fhat_0,      mean(F^2) = 4^-n sum T_w fhat_w^2
+
+All radii are one matrix product, a family runs in chunks of codes, and the
+covered-union counts stay exact bitmask dilations.  An explicit subset B
+runs the same sums over all 2^n points.
+
 Reports never silently skip: an unmet premise is a verdict, and a violated
 inequality on valid inputs signals an implementation bug and is raised
 loudly by the exhaustive driver.
@@ -31,10 +46,10 @@ moment, so the main inequality reads ef_sq <= n * ef2.
 
 from __future__ import annotations
 
+import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -52,8 +67,10 @@ from .codes import (
     autocorrelation,
     dual_distance,
     enumerate_linear_codes,
+    first_positive_weight,
     min_distance,
     random_code,
+    weight_spectra,
 )
 from .cube_fourier import (
     CubeFunction,
@@ -61,7 +78,9 @@ from .cube_fourier import (
     convolve,
     essential_support_size,
     inverse_wht,
+    krawtchouk,
     sweep_dimension_cap,
+    transform_dimension_cap,
     wht,
 )
 
@@ -136,29 +155,21 @@ class PropositionReport:
         }
 
 
-def effective_distance(n: int, d: int) -> int:
+def effective_distance(n: int, d):
     """Largest distance the inequality chain certifies for a distance-d code.
 
     The spectrum-cutoff comparison needs n - 2d >= 0; distances are monotone
     (distance d implies distance d'), so clamping to floor(n/2) loses no
-    sound case and blocks the d > n/2 counterexamples.
+    sound case and blocks the d > n/2 counterexamples.  Works elementwise.
     """
-    return min(d, n // 2)
+    return np.minimum(d, n // 2)
 
 
-def _premise_ok(n: int, d: int, lam: float, tol: float) -> bool:
+def _premise_ok(n: int, d, lam, tol: float):
     return lam >= n - 2 * effective_distance(n, d) + 1 - tol
 
 
-# --- cached per-code and per-ball ingredients ---------------------------------
-
-@lru_cache(maxsize=256)
-def _phi_pair(c: Code) -> tuple[CubeFunction, CubeFunction]:
-    """(phi, transform of phi): the nonnegative-root spectrum function."""
-    ac = autocorrelation(c)
-    phihat = CubeFunction(c.n, np.sqrt(ac.values))
-    return inverse_wht(phihat), phihat
-
+# --- witness construction ------------------------------------------------------
 
 def phi_from_code(c: Code) -> CubeFunction:
     """Function whose squared transform is the autocorrelation of the code.
@@ -168,44 +179,8 @@ def phi_from_code(c: Code) -> CubeFunction:
     positive multiple of the dual indicator exactly.  The defining ratio
     mean(phi^2) / mean(phi)^2 equals |C|.
     """
-    return _phi_pair(c)[0]
+    return inverse_wht(CubeFunction(c.n, np.sqrt(autocorrelation(c).values)))
 
-
-@lru_cache(maxsize=256)
-def _indicator_hat(c: Code) -> CubeFunction:
-    return wht(c.indicator())
-
-
-@lru_cache(maxsize=512)
-def _ball_route(n: int, r: int):
-    """(premise lambda, witness, transform of f, ess support of f, |B|)."""
-    lam = lambda_ball_exact(n, r)
-    witness = lambda_for_radius_recurrence(n, r)
-    f = witness.lift()
-    return lam, witness, wht(f), essential_support_size(f), ball_size(n, r)
-
-
-def _subset_route(subset: SubsetGraph):
-    lam, vec = subset_top_eigenpair(subset)
-    vals = np.zeros(1 << subset.n)
-    vals[list(subset.members)] = vec
-    f = CubeFunction(subset.n, vals)
-    return lam, None, wht(f), essential_support_size(f), subset.size
-
-
-def _resolve_route(n: int, ball_r: Optional[int], subset: Optional[SubsetGraph]):
-    if (ball_r is None) == (subset is None):
-        raise ValueError("pass exactly one of a ball radius or an explicit subset")
-    if ball_r is not None:
-        if not 0 <= ball_r <= n:
-            raise ValueError(f"radius must be in [0, n], got {ball_r}")
-        return ball_r, _ball_route(n, ball_r)
-    if subset.n != n:
-        raise ValueError(f"dimension mismatch: code n={n}, subset n={subset.n}")
-    return None, _subset_route(subset)
-
-
-# --- witness construction ------------------------------------------------------
 
 def build_covering_witness(cprime: Code, w: BallEigenWitness) -> CubeFunction:
     """F = indicator of C' convolved with the lifted ball eigenfunction.
@@ -220,20 +195,33 @@ def build_covering_witness(cprime: Code, w: BallEigenWitness) -> CubeFunction:
 
 # --- covered unions -------------------------------------------------------------
 
+def _indicators(codes, n: int) -> np.ndarray:
+    """Boolean (len(codes), 2^n) stack of code indicators."""
+    cap = transform_dimension_cap()
+    if n > cap:
+        raise ValueError(f"dimension must be in [1, {cap}], got {n}")
+    rows = np.repeat(np.arange(len(codes)), [c.size for c in codes])
+    cols = np.fromiter(itertools.chain.from_iterable(c.points for c in codes), np.int64)
+    mask = np.zeros((len(codes), 1 << n), dtype=bool)
+    mask[rows, cols] = True
+    return mask
+
+
 def _dilate_once(mask: np.ndarray, n: int) -> np.ndarray:
-    out = mask.copy()
+    """Add every point at distance 1, along the last axis."""
+    out, split = mask.copy(), mask.shape[:-1] + (-1, 2)
     for i in range(n):
-        h = 1 << i
-        out |= mask.reshape(-1, 2, h)[:, ::-1, :].reshape(-1)
+        out |= mask.reshape(split + (1 << i,))[..., ::-1, :].reshape(out.shape)
     return out
 
 
-def _covered_union_ball(c: Code, r: int) -> int:
-    mask = np.zeros(1 << c.n, dtype=bool)
-    mask[list(c.points)] = True
-    for _ in range(r):
-        mask = _dilate_once(mask, c.n)
-    return int(mask.sum())
+def _covered_counts(mask: np.ndarray, n: int, r_max: int) -> np.ndarray:
+    """covered[c, r]: exact number of points within distance r of code c."""
+    counts = [np.count_nonzero(mask, axis=-1)]
+    for _ in range(r_max):
+        mask = _dilate_once(mask, n)
+        counts.append(np.count_nonzero(mask, axis=-1))
+    return np.stack(counts, axis=-1)
 
 
 def _covered_union_subset(c: Code, subset: SubsetGraph) -> int:
@@ -251,98 +239,127 @@ def covered_fraction(c: Code, r: int) -> float:
     cap = sweep_dimension_cap()
     if c.n > cap:
         raise ValueError(f"exact sweep capped at n={cap}, got n={c.n}")
-    return _covered_union_ball(c, r) / float(1 << c.n)
+    return _covered_counts(_indicators([c], c.n), c.n, r)[0, r] / float(1 << c.n)
 
 
-# --- the two checks --------------------------------------------------------------
+# --- moments and reports ------------------------------------------------------------
 
-def _moments_from_product(fhat_a: np.ndarray, fhat_b: np.ndarray):
-    """Mean, squared mean and second moment of the convolution a * b.
+@lru_cache(maxsize=64)
+def _ball_table(n: int):
+    """Ball route by radius r = 0..n: (lambda, ess support of f, |B|, fhat).
 
-    The convolution's transform is the pointwise product, so the mean is the
-    product at 0 and the second moment is the sum of squared products.
+    fhat[r, w] = 2^-n sum_i g_i K_i(w) for the witness profile g, and
+    2^n mean(f)^2 / mean(f^2) comes from sums of g and g^2 against K_i(0) = C(n, i).
     """
-    prod = fhat_a * fhat_b
-    ef = float(prod[0])
-    ef_sq = float(prod @ prod)
-    return ef, ef * ef, ef_sq
+    k = krawtchouk(n).astype(np.float64)
+    fhat, ess_f = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
+    for r in range(n + 1):
+        g = np.array(lambda_for_radius_recurrence(n, r).profile.values)
+        fhat[r] = g @ k[: len(g)] / float(1 << n)
+        ess_f[r] = (g @ k[: len(g), 0]) ** 2 / ((g * g) @ k[: len(g), 0])
+    lam = np.array([lambda_ball_exact(n, r) for r in range(n + 1)])
+    b_size = np.array([ball_size(n, r) for r in range(n + 1)], dtype=np.int64)
+    for a in (lam, ess_f, b_size, fhat):
+        a.flags.writeable = False
+    return lam, ess_f, b_size, fhat
 
 
-def _size_report(c: Code, d: int, r_label, route, tol: float) -> PropositionReport:
-    n = c.n
-    lam, _w, fhat, ess_f, b_size = route
-    premise_ok = _premise_ok(n, d, lam, tol)
-    if not premise_ok:
-        return PropositionReport(
-            proposition=PROP_SIZE, n=n, d=d, r=r_label, lam=lam,
-            premise_ok=False, code_size=c.size, b_size=b_size,
-            ef=None, ef2=None, ef_sq=None, ess_f=ess_f, phi_ratio=None,
-            covered=None, bound_lhs=c.size, bound_rhs=n * b_size,
-            verdict=VERDICT_PREMISE_UNMET,
-        )
-    _phi, phihat = _phi_pair(c)
-    ef, ef2, ef_sq = _moments_from_product(phihat.values, fhat.values)
-    phi_mean = float(phihat.values[0])
-    phi_second = float(phihat.values @ phihat.values)
-    phi_ratio = phi_second / (phi_mean * phi_mean)
+def _moments(pairs, sq_transform, fhat):
+    """(ef, ef_sq, phi_ratio): F's mean and second moment, and phi's ratio.
 
-    failures = []
-    if not ef_sq <= n * ef2 + tol:
-        failures.append("second_moment_vs_mean")
-    if not b_size >= ess_f - tol:
-        failures.append("support_vs_essential_support")
-    if not ess_f >= phi_ratio / n - tol:
-        failures.append("essential_support_vs_phi_ratio")
-    if not abs(phi_ratio - c.size) <= tol:
-        failures.append("phi_ratio_vs_code_size")
-    if not c.size <= n * b_size:
-        failures.append("headline_size_bound")
+    Rows of pairs (pair counts / 2^n) and sq_transform (squared transform of
+    1_C), per point or per weight, are codes; rows of fhat are witnesses.
+    ef and ef_sq are (codes, witnesses, 2) arrays: size, then covering.
+    """
+    f2, frac = (fhat * fhat).T, pairs[:, :1]
+    ef = np.stack([np.sqrt(frac) * fhat[:, 0], frac * fhat[:, 0]], axis=-1)
+    ef_sq = np.stack([pairs @ f2, sq_transform @ f2], axis=-1)
+    return ef, ef_sq, pairs.sum(axis=1) / pairs[:, 0]
 
-    return PropositionReport(
-        proposition=PROP_SIZE, n=n, d=d, r=r_label, lam=lam,
-        premise_ok=True, code_size=c.size, b_size=b_size,
-        ef=ef, ef2=ef2, ef_sq=ef_sq, ess_f=ess_f, phi_ratio=phi_ratio,
-        covered=None, bound_lhs=c.size, bound_rhs=n * b_size,
-        verdict=VERDICT_VIOLATED if failures else VERDICT_HOLDS,
-        failures=tuple(failures),
+
+def _ball_moments(mask: np.ndarray, n: int, r_max: int):
+    """(d, ef, ef_sq, phi_ratio) at radii 0..r_max; d is (minimal, dual) distance."""
+    pairs, sums = weight_spectra(mask)
+    d = np.stack([first_positive_weight(pairs), first_positive_weight(sums)], axis=1)
+    scale = float(1 << n)
+    return d, *_moments(
+        pairs.astype(np.float64) / scale, sums.astype(np.float64) / (scale * scale),
+        _ball_table(n)[3][: r_max + 1],
     )
 
 
-def _covering_report(
-    c: Code, d: int, r_label, route, covered: Optional[int], tol: float
-) -> PropositionReport:
-    n = c.n
-    lam, _w, fhat, ess_f, b_size = route
-    if covered is None:
-        if r_label is None:
-            raise ValueError("subset covering checks must pass the covered count")
-        covered = _covered_union_ball(c, r_label)
-    premise_ok = _premise_ok(n, d, lam, tol)
-    if not premise_ok:
-        return PropositionReport(
-            proposition=PROP_COVERING, n=n, d=d, r=r_label, lam=lam,
-            premise_ok=False, code_size=c.size, b_size=b_size,
-            ef=None, ef2=None, ef_sq=None, ess_f=ess_f, phi_ratio=None,
-            covered=covered, bound_lhs=covered, bound_rhs=(1 << n) / n,
-            verdict=VERDICT_PREMISE_UNMET,
-        )
-    ind_hat = _indicator_hat(c)
-    ef, ef2, ef_sq = _moments_from_product(ind_hat.values, fhat.values)
+def _inequalities(prop, n, size, b_size, ess_f, ef, ef_sq, phi_ratio, covered, tol):
+    """Each inequality of one proposition by name, True where it holds.
 
-    failures = []
-    if not ef_sq <= n * ef2 + tol:
-        failures.append("second_moment_vs_mean")
-    if not covered * n >= (1 << n):  # exact integer comparison
-        failures.append("headline_covering_bound")
+    Works on scalars and on broadcastable arrays alike.
+    """
+    holds = {"second_moment_vs_mean": ef_sq <= n * (ef * ef) + tol}
+    if prop == PROP_SIZE:
+        holds["support_vs_essential_support"] = b_size >= ess_f - tol
+        holds["essential_support_vs_phi_ratio"] = ess_f >= phi_ratio / n - tol
+        holds["phi_ratio_vs_code_size"] = abs(phi_ratio - size) <= tol
+        holds["headline_size_bound"] = size <= n * b_size
+    else:  # exact integer comparison
+        holds["headline_covering_bound"] = covered * n >= (1 << n)
+    return holds
 
-    return PropositionReport(
-        proposition=PROP_COVERING, n=n, d=d, r=r_label, lam=lam,
-        premise_ok=True, code_size=c.size, b_size=b_size,
-        ef=ef, ef2=ef2, ef_sq=ef_sq, ess_f=ess_f, phi_ratio=None,
-        covered=covered, bound_lhs=covered, bound_rhs=(1 << n) / n,
-        verdict=VERDICT_VIOLATED if failures else VERDICT_HOLDS,
-        failures=tuple(failures),
+
+def _report(k: int, c: Code, i: int, j: int, r, moments, witnesses, covered, tol):
+    """Report of proposition k (0 size, 1 covering) for code i and witness j.
+
+    moments is (d, ef, ef_sq, phi_ratio) by code, as :func:`_ball_moments`
+    returns it, and witnesses (lambda, ess support of f, |B|) by witness.
+    """
+    n, prop, size_prop = c.n, (PROP_SIZE, PROP_COVERING)[k], k == 0
+    (d, ef, ef_sq, phi_ratio), (lam, ess_f, b_size) = moments, witnesses
+    d, lam, ess_f, b_size = int(d[i, k]), float(lam[j]), float(ess_f[j]), int(b_size[j])
+    ef, ef_sq, phi_ratio = float(ef[i, j, k]), float(ef_sq[i, j, k]), float(phi_ratio[i])
+    premise_ok = bool(_premise_ok(n, d, lam, tol))
+    holds = _inequalities(
+        prop, n, c.size, b_size, ess_f, ef, ef_sq, phi_ratio, covered, tol
     )
+    failures = tuple(name for name, ok in holds.items() if premise_ok and not ok)
+    if not premise_ok:
+        ef = ef_sq = phi_ratio = None
+    return PropositionReport(
+        proposition=prop, n=n, d=d, r=r, lam=lam,
+        premise_ok=premise_ok, code_size=c.size, b_size=b_size,
+        ef=ef, ef2=None if ef is None else ef * ef, ef_sq=ef_sq, ess_f=ess_f,
+        phi_ratio=phi_ratio if size_prop else None,
+        covered=None if size_prop else covered,
+        bound_lhs=c.size if size_prop else covered,
+        bound_rhs=n * b_size if size_prop else (1 << n) / n,
+        verdict=VERDICT_PREMISE_UNMET if not premise_ok
+        else VERDICT_VIOLATED if failures else VERDICT_HOLDS,
+        failures=failures,
+    )
+
+
+def _check(k: int, c: Code, r, subset, tol) -> PropositionReport:
+    n = c.n
+    if (r is None) == (subset is None):
+        raise ValueError("pass exactly one of a ball radius or an explicit subset")
+    if subset is None:
+        if not 0 <= r <= n:
+            raise ValueError(f"radius must be in [0, n], got {r}")
+        mask = _indicators([c], n)
+        covered = int(_covered_counts(mask, n, r)[0, r]) if k else None
+        moments, witnesses, j = _ball_moments(mask, n, r), _ball_table(n)[:3], r
+    else:
+        if subset.n != n:
+            raise ValueError(f"dimension mismatch: code n={n}, subset n={subset.n}")
+        lam, vec = subset_top_eigenpair(subset)
+        vals = np.zeros(1 << n)
+        vals[list(subset.members)] = vec
+        f = CubeFunction(n, vals)
+        d = np.array([[0, dual_distance(c)] if k else [min_distance(c), 0]])
+        moments = d, *_moments(
+            autocorrelation(c).values[None, :], wht(c.indicator()).values[None, :] ** 2,
+            wht(f).values[None, :],
+        )
+        witnesses, j = ([lam], [essential_support_size(f)], [subset.size]), 0
+        covered = _covered_union_subset(c, subset) if k else None
+    return _report(k, c, 0, j, r, moments, witnesses, covered, tol)
 
 
 def check_prop_ineq(
@@ -359,8 +376,7 @@ def check_prop_ineq(
     :func:`effective_distance`).  An unmet premise is a verdict, not an
     error.
     """
-    r_label, route = _resolve_route(c.n, ball_r, subset)
-    return _size_report(c, min_distance(c), r_label, route, tol)
+    return _check(0, c, ball_r, subset, tol)
 
 
 def check_covering(
@@ -376,51 +392,14 @@ def check_covering(
     exactly and compared exactly; only the moment inequality uses the
     floating tolerance.
     """
-    r_label, route = _resolve_route(c.n, r, subset)
-    covered = (
-        _covered_union_subset(c, subset) if subset is not None else None
-    )
-    return _covering_report(c, dual_distance(c), r_label, route, covered, tol)
+    return _check(1, c, r, subset, tol)
 
 
 # --- exhaustive driver ------------------------------------------------------------
 
-def _verify_one_code(c: Code, tol: float, counts: dict, context: dict) -> None:
-    n = c.n
-    d_min = min_distance(c)
-    d_dual = dual_distance(c)
-    thr_size = n - 2 * effective_distance(n, d_min) + 1 - tol
-    thr_cover = n - 2 * effective_distance(n, d_dual) + 1 - tol
-
-    mask = np.zeros(1 << n, dtype=bool)
-    mask[list(c.points)] = True
-    covered = int(mask.sum())
-
-    for r in range(n + 1):
-        if r > 0:
-            mask = _dilate_once(mask, n)
-            covered = int(mask.sum())
-        lam = lambda_ball_exact(n, r)
-
-        if lam >= thr_size:
-            rep = _size_report(c, d_min, r, _ball_route(n, r), tol)
-            counts[rep.verdict] += 1
-            if rep.verdict == VERDICT_VIOLATED:
-                raise VerificationError(rep, c, context)
-        else:
-            counts[VERDICT_PREMISE_UNMET] += 1
-
-        if lam >= thr_cover:
-            rep = _covering_report(c, d_dual, r, _ball_route(n, r), covered, tol)
-            counts[rep.verdict] += 1
-            if rep.verdict == VERDICT_VIOLATED:
-                raise VerificationError(rep, c, context)
-        else:
-            counts[VERDICT_PREMISE_UNMET] += 1
-
-
-def _fresh_counts() -> dict:
-    return {VERDICT_HOLDS: 0, VERDICT_PREMISE_UNMET: 0, VERDICT_VIOLATED: 0}
+# Codes per chunk times 2^n: bounds the working set of one chunk's arrays.
+# The family is generated chunk by chunk, so memory does not grow with it.
+_CHUNK_ENTRIES = 1 << 16
 
 
 def exhaustive_verify(
@@ -437,60 +416,63 @@ def exhaustive_verify(
     dimensions); mode "random-general" draws ``trials`` seeded greedy random
     codes with random target distances (n <= 12).  Returns a summary of
     verdict counts; any violation raises :class:`VerificationError` with a
-    reproduction dump.  With threads > 1 the family is partitioned into
-    contiguous chunks whose counts are merged in order, so the summary is
-    identical to the single-threaded run.
+    reproduction dump of the first failing (code, radius, proposition).  The
+    family runs in chunks of codes in one thread, every radius at once;
+    ``threads`` is accepted and changes neither the work nor the summary.
     """
     if mode == "all-linear":
         if not 1 <= n <= 7:
             raise ValueError(f"all-linear mode supports 1 <= n <= 7, got {n}")
-        family = [
+        family = (
             (lc.expand(), {"mode": mode, "k": lc.dim})
             for k in range(1, n + 1)
             for lc in enumerate_linear_codes(n, k)
-        ]
+        )
     elif mode == "random-general":
         if not 1 <= n <= 12:
             raise ValueError(f"random-general mode supports 1 <= n <= 12, got {n}")
         rng = np.random.default_rng(seed)
-        family = []
-        for t in range(trials):
-            min_d = int(rng.integers(1, n + 1))
-            sub_seed = int(rng.integers(0, 2**63))
-            family.append(
-                (
-                    random_code(n, min_d, sub_seed),
-                    {"mode": mode, "trial": t, "min_d": min_d, "code_seed": sub_seed},
-                )
-            )
+        draws = (
+            (t, int(rng.integers(1, n + 1)), int(rng.integers(0, 2**63)))
+            for t in range(trials)
+        )
+        family = (
+            (random_code(n, min_d, sub_seed),
+             {"mode": mode, "trial": t, "min_d": min_d, "code_seed": sub_seed})
+            for t, min_d, sub_seed in draws
+        )
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    def run_chunk(chunk) -> dict:
-        counts = _fresh_counts()
-        for code, context in chunk:
-            _verify_one_code(code, tol, counts, {"seed": seed, **context})
-        return counts
-
-    threads = max(1, int(threads))
-    if threads == 1 or len(family) < 2 * threads:
-        totals = run_chunk(family)
-    else:
-        step = (len(family) + threads - 1) // threads
-        chunks = [family[i : i + step] for i in range(0, len(family), step)]
-        totals = _fresh_counts()
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(run_chunk, chunks):
-                for key, val in part.items():
-                    totals[key] += val
+    witnesses = lam, ess_f, b_size = _ball_table(n)[:3]
+    count = holds = unmet = 0
+    while part := list(itertools.islice(family, max(1, _CHUNK_ENTRIES >> n))):
+        codes = [code for code, _ in part]
+        count += len(codes)
+        mask = _indicators(codes, n)
+        moments = d, ef, ef_sq, phi_ratio = _ball_moments(mask, n, n)
+        covered = _covered_counts(mask, n, n)
+        sizes = np.array([code.size for code in codes])[:, None]
+        premise = _premise_ok(n, d[:, None, :], lam[:, None], tol)  # (code, r, prop)
+        failed = np.stack([premise[..., k] & ~reduce(np.logical_and, _inequalities(
+            prop, n, sizes, b_size, ess_f, ef[..., k], ef_sq[..., k],
+            phi_ratio[:, None], covered, tol,
+        ).values()) for k, prop in enumerate((PROP_SIZE, PROP_COVERING))], axis=-1)
+        if failed.any():
+            i, r, k = (int(x) for x in np.unravel_index(failed.argmax(), failed.shape))
+            code, context = part[i]
+            rep = _report(k, code, i, r, r, moments, witnesses, int(covered[i, r]), tol)
+            raise VerificationError(rep, code, {"seed": seed, **context})
+        holds += int(premise.sum())
+        unmet += int(premise.size - premise.sum())
 
     return {
         "mode": mode,
         "n": n,
         "seed": seed,
         "trials": trials if mode == "random-general" else None,
-        "codes": len(family),
-        "holds": totals[VERDICT_HOLDS],
-        "premise_unmet": totals[VERDICT_PREMISE_UNMET],
-        "violations": totals[VERDICT_VIOLATED],
+        "codes": count,
+        "holds": holds,
+        "premise_unmet": unmet,
+        "violations": 0,
     }

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from cube_spectra import (
     lambda_subset_bruteforce,
     min_radius_for_lambda,
 )
-from cube_spectra.ball_spectra import subset_top_eigenpair
+from cube_spectra.ball_spectra import _eigenvalues_below, subset_top_eigenpair
 from cube_spectra.bounds import ball_size
 
 
@@ -231,3 +233,18 @@ def test_ball_beats_random_subsets_of_equal_size():
         gen = np.random.default_rng(seed)
         pts = tuple(int(x) for x in gen.choice(1 << n, size=size, replace=False))
         assert lambda_subset_bruteforce(SubsetGraph(n, pts)) <= lam_ball
+
+
+def test_lambda_ball_exact_ends_where_floats_are_coarser_than_its_width():
+    # ulp(lambda) exceeds the 1e-10 bisection width once lambda >= 2^19; the
+    # bisection used to loop forever there.  A child process bounds the time.
+    n, r = 2**20, 80000
+    proc = subprocess.run(
+        [sys.executable, "-c", "from cube_spectra import lambda_ball_exact as f; "
+         f"print(f({n}, {r}).hex())"],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    lam = float.fromhex(proc.stdout.strip())
+    assert 2**19 < lam < 2**20
+    assert _eigenvalues_below(n, r, lam * (1 - 1e-12)) <= r
+    assert _eigenvalues_below(n, r, lam * (1 + 1e-12)) == r + 1

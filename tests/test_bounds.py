@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -166,3 +168,21 @@ def test_bound_report_roundtrip():
     )
     d = rep.to_json_dict()
     assert d["kind"] == "rate" and d["bound"] == 0.5
+
+
+def test_finite_code_bound_ends_in_the_recurrence_stall_region():
+    # target n - 2d + 1 = 8193: ulp(lambda) exceeds the 1e-12 width of the
+    # recurrence bisection, which used to loop forever.  A child process
+    # bounds the time.
+    code = (
+        "import json; from cube_spectra import finite_code_bound as f; "
+        "r = f(9000, 404); "
+        "print(json.dumps([r.r_star, r.lambda_used, r.certificate['lambda'], r.value]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    r_star, lam, cert_lam, value = json.loads(proc.stdout)
+    assert r_star == 2675 and value == 9000 * ball_size(9000, r_star)
+    assert 8193 <= lam < 8194 and abs(cert_lam - lam) < 1e-9 * lam

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from conftest import (
     naive_min_distance,
     naive_pair_distance_counts,
 )
+import cube_spectra
 from cube_spectra import (
     Code,
     CodeFileError,
@@ -28,9 +31,12 @@ from cube_spectra import (
     random_code,
 )
 from cube_spectra.codes import (
+    _exact_shift,
+    first_positive_weight,
     format_code_text,
     min_distance_autocorrelation,
     read_code_file,
+    weight_spectra,
     write_code_file,
 )
 
@@ -219,6 +225,59 @@ def test_distance_distribution_linear_equals_weight_enumerator():
     for p in c.points:
         w[bin(p).count("1")] += 1
     assert dd.counts == tuple(float(x) for x in w)
+
+
+def naive_dual_weight_sums(points, n):
+    """T[s] = sum over |S| = s of (sum over codewords x of (-1)^<x,S>)^2."""
+    sums = [0] * (n + 1)
+    for s in range(1 << n):
+        t = sum((-1) ** bin(x & s).count("1") for x in points)
+        sums[bin(s).count("1")] += t * t
+    return sums
+
+
+def test_weight_spectra_matches_pair_and_character_sums(rng):
+    codes = [Code(1, (0,)), even_weight_code(4), hamming_7_4()]
+    codes += [random_code(n, int(rng.integers(1, n + 1)), seed=n) for n in range(2, 9)]
+    for c in codes:
+        pairs, sums = weight_spectra(c.int_indicator().values)
+        assert pairs.tolist() == naive_pair_distance_counts(c.points, c.n)
+        assert sums.tolist() == naive_dual_weight_sums(c.points, c.n)
+    # a stack of codes gives the same rows as one code at a time
+    same_n = [random_code(6, d, seed=d) for d in range(1, 7)]
+    pairs, sums = weight_spectra(np.stack([c.int_indicator().values for c in same_n]))
+    for c, p_row, t_row in zip(same_n, pairs, sums):
+        p_one, t_one = weight_spectra(c.int_indicator().values)
+        assert p_row.tolist() == p_one.tolist() and t_row.tolist() == t_one.tolist()
+
+
+def test_weight_spectra_exact_above_the_int64_range():
+    # n = 21 takes the Python-integer path for K T
+    n = 21
+    c = Code(n, (0, (1 << n) - 1, 0b101, 0b1110 << 10))
+    pairs, sums = weight_spectra(c.int_indicator().values)
+    assert pairs.dtype == object
+    assert [int(x) for x in pairs] == naive_pair_distance_counts(c.points, n)
+    assert int(sum(sums)) == c.size << n  # Parseval
+    assert first_positive_weight(pairs) == min_distance(c) == 2
+    assert first_positive_weight(sums) == dual_distance(c)
+
+
+def test_exact_shift_raises_on_a_remainder():
+    assert _exact_shift(np.array([8, -16]), 3).tolist() == [1, -2]
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        _exact_shift(np.array([8, 12]), 3)
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so an exact check must raise instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(cube_spectra.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_enumerate_linear_codes_counts():

@@ -16,6 +16,7 @@ from cube_spectra import (
     convolve,
     covered_fraction,
     dual_distance,
+    enumerate_linear_codes,
     essential_support_size,
     exhaustive_verify,
     hamming_weights,
@@ -32,6 +33,9 @@ from cube_spectra.lp_witness import (
     PROP_SIZE,
     VERDICT_HOLDS,
     VERDICT_PREMISE_UNMET,
+    _ball_moments,
+    _ball_table,
+    _indicators,
     effective_distance,
 )
 
@@ -284,6 +288,99 @@ def test_exhaustive_counts_match_public_checks():
                         unmet += 1
     s = exhaustive_verify(n, "all-linear")
     assert s["holds"] == holds and s["premise_unmet"] == unmet
+
+
+@pytest.mark.parametrize(
+    "n, mode, trials, seed, holds, unmet",
+    [
+        (1, "all-linear", 1000, 0, 0, 4),
+        (2, "all-linear", 1000, 0, 16, 8),
+        (3, "all-linear", 1000, 0, 60, 60),
+        (4, "all-linear", 1000, 0, 447, 213),
+        (5, "all-linear", 1000, 0, 2868, 1608),
+        (6, "all-linear", 1000, 0, 25746, 13790),
+        (7, "all-linear", 1000, 0, 301261, 166115),
+        (8, "random-general", 200, 1, 2441, 1159),
+    ],
+)
+def test_exhaustive_verdict_counts_pinned(n, mode, trials, seed, holds, unmet):
+    s = exhaustive_verify(n, mode, trials=trials, seed=seed)
+    assert (s["holds"], s["premise_unmet"], s["violations"]) == (holds, unmet, 0)
+
+
+def test_exhaustive_raises_the_first_violation_in_family_order():
+    # a negative tolerance makes tight inequalities fail, which exercises the
+    # violation path: the first failing (code, radius, proposition) in the
+    # order of the family, with the report the single checks give
+    tol = -0.5
+    first = None
+    for k in range(1, 4):
+        for lc in enumerate_linear_codes(3, k):
+            c = lc.expand()
+            for r in range(4):
+                for rep in (check_prop_ineq(c, r, tol=tol), check_covering(c, r, tol=tol)):
+                    if first is None and rep.verdict == "violated":
+                        first = (c, k, rep)
+    assert first is not None
+    with pytest.raises(VerificationError) as info:
+        exhaustive_verify(3, "all-linear", tol=tol)
+    c, k, rep = first
+    got = info.value.report
+    assert info.value.code == c
+    assert info.value.context == {"seed": 0, "mode": "all-linear", "k": k}
+    assert (got.proposition, got.r, got.d, got.verdict, got.failures) == (
+        rep.proposition, rep.r, rep.d, rep.verdict, rep.failures
+    )
+    assert got.ef_sq == pytest.approx(rep.ef_sq, rel=1e-12)
+
+
+def dense_moments(c, witness):
+    """Both witnesses' moments from dense 2^n arrays, for one code and radius."""
+    f = witness.lift()
+    phi = phi_from_code(c)
+    ef_size, sq_size = moments(convolve(phi, f))
+    ef_cover, sq_cover = moments(build_covering_witness(c, witness))
+    phi_mean, phi_second = moments(phi)
+    return {
+        "ef": (ef_size, ef_cover),
+        "ef2": (ef_size**2, ef_cover**2),
+        "ef_sq": (sq_size, sq_cover),
+        "ess_f": essential_support_size(f),
+        "phi_ratio": phi_second / phi_mean**2,
+    }
+
+
+@pytest.mark.filterwarnings("ignore::cube_spectra.SingletonDistanceWarning")
+def test_weight_space_moments_match_dense_oracle():
+    rng = np.random.default_rng(99)
+    by_n = {
+        n: [lc.expand() for k in range(1, n + 1) for lc in enumerate_linear_codes(n, k)]
+        for n in range(1, 6)
+    }
+    for t in range(200):
+        n = int(rng.integers(1, 11))
+        by_n.setdefault(n, []).append(random_code(n, int(rng.integers(1, n + 2)), seed=t))
+
+    def close(got, want):
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+    checked = 0
+    for n, codes in by_n.items():
+        d, ef, ef_sq, phi_ratio = _ball_moments(_indicators(codes, n), n, n)
+        ess_f = _ball_table(n)[1]
+        witnesses = [lambda_for_radius_recurrence(n, r) for r in range(n + 1)]
+        for i, c in enumerate(codes):
+            assert (d[i, 0], d[i, 1]) == (min_distance(c), dual_distance(c))
+            for r, w in enumerate(witnesses):
+                want = dense_moments(c, w)
+                for k in range(2):
+                    close(ef[i, r, k], want["ef"][k])
+                    close(ef[i, r, k] ** 2, want["ef2"][k])
+                    close(ef_sq[i, r, k], want["ef_sq"][k])
+                close(ess_f[r], want["ess_f"])
+                close(phi_ratio[i], want["phi_ratio"])
+                checked += 1
+    assert checked > 2000
 
 
 def test_exhaustive_mode_validation():

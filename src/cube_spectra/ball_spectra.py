@@ -1,16 +1,19 @@
 """Top adjacency eigenvalues of Hamming balls and small induced subgraphs.
 
-Two certified routes to the ball constant and one oracle:
+Every ball question reduces to the (r+1)-point weight profile operator
+g(i) -> i g(i-1) + (n-i) g(i+1) of the radius-r ball; the reduction is valid
+because the induced ball subgraph is connected and level-transitive, so its
+Perron eigenvector is a function of Hamming weight.
 
-* :func:`lambda_ball_exact` reduces the ball of radius r to the (r+1)-point
-  weight profile operator  g(i) -> i g(i-1) + (n-i) g(i+1),  symmetrizes it
-  (off-diagonal sqrt((i+1)(n-i))) and runs Sturm bisection.  The reduction is
-  valid because the induced ball subgraph is connected and level-transitive,
-  so its Perron eigenvector is a function of Hamming weight.
+* :func:`lambda_ball_exact` symmetrizes the operator (off-diagonal
+  sqrt((i+1)(n-i))) and runs Sturm bisection.
 * :func:`lambda_for_radius_recurrence` binary-searches the largest rate
   lambda for which the profile recurrence started at g(0)=1 stays positive
   through weight r, and packages the truncated profile as a certificate
-  with f >= 0 and Af >= lambda f pointwise.
+  with f >= 0 and Af >= lambda f, checked on its n+1 weights.
+* :func:`min_radius_for_lambda` runs the same recurrence once, in integers,
+  at a rational target: the smallest sufficient radius sits just before its
+  first sign change.
 * :func:`lambda_subset_bruteforce` is the verification oracle: shifted power
   iteration on the explicitly induced adjacency matrix of any small subset.
 """
@@ -83,14 +86,19 @@ class BallEigenWitness:
         return self.profile.lift()
 
     def verify_pointwise(self, tol: float = 1e-9) -> bool:
-        """Direct neighbor-sum check of f >= 0 and Af >= (lam - tol) f."""
-        from .cube_fourier import adjacency_apply
+        """Check f >= 0 and Af >= (lam - tol) f at every point of the cube.
 
-        f = self.lift()
-        if (f.values < 0).any():
-            return False
-        af = adjacency_apply(f)
-        return bool((af.values >= (self.lam - tol) * f.values).all())
+        f depends only on weight, so Af at weight i is i g(i-1) + (n-i) g(i+1)
+        and the 2^n point checks collapse to one per weight.  Weights 0..p,
+        where f > 0 by construction, are checked with g(p+1) = 0; above p,
+        f = 0 <= Af holds term by term.
+        """
+        g = self.profile.values + (0.0,)
+        n, floor = self.n, self.lam - tol
+        return all(
+            i * g[i - 1] + (n - i) * g[i + 1] >= floor * g[i]
+            for i in range(self.p + 1)
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -183,30 +191,41 @@ def lambda_ball_exact(n: int, r: int) -> float:
     return 0.5 * (lo + hi)
 
 
+def _recurrence(n: int, lam: float) -> tuple[list, int]:
+    """Extended-precision g(0), g(1), ... up to the first index where g <= 0.
+
+    Returns the values and that index, or n+1 if g stays positive through
+    weight n.  If magnitudes overflow the loop stops and the tail counts as
+    sign-change-free.
+    """
+    lam_x = np.longdouble(lam)
+    g = [np.longdouble(1.0)]
+    for i in range(n):
+        nxt = (lam_x * g[i] - i * g[i - 1]) / (n - i)
+        if abs(nxt) > _RECURRENCE_OVERFLOW:
+            break
+        g.append(nxt)
+        if nxt <= 0:
+            return g, i + 1
+    return g, n + 1
+
+
 def eigen_recurrence(n: int, lam: float) -> tuple[SymmetricProfile, int]:
     """Profile g with g(0)=1 propagated by lam*g(i) = i*g(i-1) + (n-i)*g(i+1).
 
     Returns the profile together with the smallest index where g <= 0, or
-    n+1 if g stays positive through weight n.  The forward recurrence is
-    numerically unstable once lam sits near a truncation eigenvalue, so it
-    runs in extended precision; if magnitudes overflow the loop stops and
-    the tail counts as sign-change-free (the profile is truncated there).
+    n+1 if g stays positive through weight n.  The recurrence stops at that
+    first nonpositive weight, so the profile then carries weights
+    0..first_nonpos only.  The forward recurrence is numerically unstable
+    once lam sits near a truncation eigenvalue, so it runs in extended
+    precision; if magnitudes overflow the loop stops and the tail counts as
+    sign-change-free (the profile is truncated there).
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
     if not 0.0 <= lam <= n:
         raise ValueError(f"rate must lie in [0, n], got {lam}")
-    one = np.longdouble(1.0)
-    lam_x = np.longdouble(lam)
-    g = [one, lam_x / n]
-    first_nonpos = 1 if g[1] <= 0 else n + 1
-    for i in range(1, n):
-        nxt = (lam_x * g[i] - i * g[i - 1]) / (n - i)
-        if abs(nxt) > _RECURRENCE_OVERFLOW:
-            break
-        g.append(nxt)
-        if first_nonpos > n and nxt <= 0:
-            first_nonpos = i + 1
+    g, first_nonpos = _recurrence(n, lam)
     return SymmetricProfile(n, tuple(float(v) for v in g)), first_nonpos
 
 
@@ -223,7 +242,7 @@ def lambda_for_radius_recurrence(n: int, r: int) -> BallEigenWitness:
         raise ValueError(f"radius must be in [0, n], got r={r} n={n}")
 
     def feasible(lam: float) -> bool:
-        return eigen_recurrence(n, lam)[1] <= r + 1
+        return _recurrence(n, lam)[1] <= r + 1
 
     lo = float(n) if feasible(float(n)) else _bisect(0.0, float(n), 1e-12, feasible)[0]
     g, first_nonpos = eigen_recurrence(n, lo)
@@ -286,18 +305,22 @@ def lambda_subset_bruteforce(b: SubsetGraph) -> float:
 
 
 def min_radius_for_lambda(n: int, target: float) -> int:
-    """Smallest r with lambda_ball_exact(n, r) >= target - 1e-9.
+    """Smallest r with lambda_ball_exact(n, r) >= target, decided exactly.
 
-    Ball eigenvalues increase strictly with the radius, so binary search
-    applies.  No ball suffices when target > n (the cube is n-regular).
+    With target = a/b, Q_k = b^k det(target - T_k) for the radius-(k-1)
+    profile operator T_k obeys Q_0 = 1, Q_1 = a and
+    Q_{k+1} = a Q_k - b^2 k (n-k+1) Q_{k-1} in integers (it is the
+    recurrence of :func:`eigen_recurrence` at lam = target, scaled by
+    b^k n!/(n-k)!).  By Sturm, T_k's top eigenvalue reaches the target
+    exactly when Q_k <= 0 first, so r* = k - 1.  No ball suffices when
+    target > n (the cube is n-regular).
     """
     if target > n:
         raise ValueError(f"no ball of dimension {n} reaches eigenvalue {target}")
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if lambda_ball_exact(n, mid) >= target - 1e-9:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    a, b = float(target).as_integer_ratio()
+    prev, cur = 1, a
+    for k in range(1, n + 1):
+        if cur <= 0:
+            return k - 1
+        prev, cur = cur, a * cur - b * b * k * (n - k + 1) * prev
+    return n

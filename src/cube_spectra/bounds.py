@@ -11,6 +11,7 @@ inequality gives at a single point (see :func:`finite_code_bound`).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -19,7 +20,11 @@ from .ball_spectra import lambda_ball_exact, lambda_for_radius_recurrence, min_r
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluated bound plus the inputs and certificate that produced it."""
+    """One evaluated bound plus the inputs and certificate that produced it.
+
+    The certificate holds its profile as a compact array("d"), a quarter of
+    the memory of a list of floats; to_json_dict() turns it into a list.
+    """
 
     kind: str  # "finite-code" | "rate" | "covering-radius" | "comparator"
     n: Optional[int]
@@ -31,6 +36,9 @@ class BoundReport:
     certificate: Optional[dict]
 
     def to_json_dict(self) -> dict:
+        cert = self.certificate
+        if cert is not None:
+            cert = {**cert, "profile": list(cert["profile"])}
         return {
             "kind": self.kind,
             "n": self.n,
@@ -39,7 +47,7 @@ class BoundReport:
             "r_star": self.r_star,
             "lambda": self.lambda_used,
             "bound": self.value,
-            "certificate": self.certificate,
+            "certificate": cert,
         }
 
 
@@ -86,8 +94,7 @@ def finite_code_bound(n: int, d: int) -> BoundReport:
     """
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got n={n} d={d}")
-    target = float(n - 2 * d + 1)
-    r_star = min_radius_for_lambda(n, max(target, 0.0))
+    r_star = min_radius_for_lambda(n, max(n - 2 * d + 1, 0))
     witness = lambda_for_radius_recurrence(n, r_star)
     if 2 * d <= n:
         value = n * ball_size(n, r_star)
@@ -102,7 +109,7 @@ def finite_code_bound(n: int, d: int) -> BoundReport:
         r_star=r_star,
         lambda_used=lambda_ball_exact(n, r_star),
         value=value,
-        certificate=witness.to_dict(),
+        certificate={**witness.to_dict(), "profile": array("d", witness.profile.values)},
     )
 
 
@@ -131,8 +138,7 @@ def essential_covering_radius_bound(n: int, d: int) -> tuple[int, float]:
     """
     if not (1 <= d and 2 * d <= n):
         raise ValueError(f"asymptotic form needs 1 <= d <= n/2, got n={n} d={d}")
-    target = float(n - 2 * d + 1)
-    r_finite = min_radius_for_lambda(n, max(target, 0.0))
+    r_finite = min_radius_for_lambda(n, max(n - 2 * d + 1, 0))
     r_asymptotic = n / 2.0 - math.sqrt(d * (n - d))
     return r_finite, r_asymptotic
 
@@ -150,21 +156,6 @@ def tietavainen_bound(n: int, d: int) -> float:
     return n / 2.0 - math.sqrt(half * (n - half))
 
 
-def rate_table(deltas, out_format: Optional[str] = None):
-    """Rows (delta, first_lp_rate(delta)); validates each delta.
-
-    out_format None returns the rows as tuples; "csv" and "json" return a
-    rendered string (reals at 9 significant digits, matching the CLI).
-    """
-    rows = [(float(d), first_lp_rate(float(d))) for d in deltas]
-    if out_format is None:
-        return rows
-    if out_format == "csv":
-        return "delta,rate\n" + "".join(f"{d:.9g},{r:.9g}\n" for d, r in rows)
-    if out_format == "json":
-        import json
-
-        return json.dumps(
-            [[float(f"{d:.9g}"), float(f"{r:.9g}")] for d, r in rows]
-        )
-    raise ValueError(f"unknown format {out_format!r}")
+def rate_table(deltas) -> list[tuple[float, float]]:
+    """Rows (delta, first_lp_rate(delta)); validates each delta."""
+    return [(float(d), first_lp_rate(float(d))) for d in deltas]

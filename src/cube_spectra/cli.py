@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import bounds as bounds_mod
 from . import lp_witness
@@ -49,17 +47,6 @@ def _emit_json(obj) -> None:
 
 def _emit_text(lines) -> None:
     sys.stdout.write("".join(line + "\n" for line in lines))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: same config, byte-identical output."""
-
-    subcommand: str
-    fmt: str
-    tol: float
-    threads: int
-    seed: int
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
@@ -121,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_lambda(args, cfg: RunConfig) -> int:
+def _cmd_lambda(args) -> int:
     n, r, method = args.n, args.r, args.method
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got n={n} r={r}")
@@ -141,26 +128,25 @@ def _cmd_lambda(args, cfg: RunConfig) -> int:
     if 1 <= n <= 12:
         exact = lambda_ball_exact(n, r)
         rec = lambda_for_radius_recurrence(n, r).lam
-        if abs(exact - rec) > max(cfg.tol, 1e-7) or abs(lam - exact) > max(
-            cfg.tol, 1e-7
-        ):
+        tol = max(args.tol, 1e-7)
+        if abs(exact - rec) > tol or abs(lam - exact) > tol:
             sys.stderr.write(
                 f"internal disagreement: exact={exact!r} recurrence={rec!r} "
                 f"{method}={lam!r}\n"
             )
             return 1
 
-    if cfg.fmt == "json":
-        out = {"seed": cfg.seed, "n": n, "r": r, "method": method, "lambda": lam}
+    if args.format == "json":
+        out = {"seed": args.seed, "n": n, "r": r, "method": method, "lambda": lam}
         if witness is not None:
             out["p"] = witness.p
             out["profile"] = list(witness.profile.values)
         _emit_json(out)
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         p_field = str(witness.p) if witness is not None else ""
         _emit_text(["n,r,method,lambda,p", f"{n},{r},{method},{fmt9(lam)},{p_field}"])
     else:
-        lines = [f"# seed={cfg.seed}", f"lambda {fmt9(lam)}"]
+        lines = [f"# seed={args.seed}", f"lambda {fmt9(lam)}"]
         if witness is not None:
             lines.append(f"p {witness.p}")
             lines.append("profile " + " ".join(fmt9(v) for v in witness.profile.values))
@@ -168,7 +154,7 @@ def _cmd_lambda(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_bound(args, cfg: RunConfig) -> int:
+def _cmd_bound(args) -> int:
     if args.delta is not None:
         if args.n is not None or args.d is not None:
             raise ValueError("pass either --delta or (--n, --d), not both")
@@ -178,9 +164,9 @@ def _cmd_bound(args, cfg: RunConfig) -> int:
             raise ValueError("finite bound needs both --n and --d")
         report = bounds_mod.finite_code_bound(args.n, args.d)
 
-    if cfg.fmt == "json":
-        _emit_json({"seed": cfg.seed, **report.to_json_dict()})
-    elif cfg.fmt == "csv":
+    if args.format == "json":
+        _emit_json({"seed": args.seed, **report.to_json_dict()})
+    elif args.format == "csv":
         if report.kind == "rate":
             _emit_text(["delta,rate", f"{fmt9(report.delta)},{fmt9(report.value)}"])
         else:
@@ -192,7 +178,7 @@ def _cmd_bound(args, cfg: RunConfig) -> int:
                 ]
             )
     else:
-        lines = [f"# seed={cfg.seed}", f"kind {report.kind}"]
+        lines = [f"# seed={args.seed}", f"kind {report.kind}"]
         if report.kind == "rate":
             lines += [f"delta {fmt9(report.delta)}", f"rate {fmt9(report.value)}"]
         else:
@@ -221,7 +207,7 @@ def _report_lines(rep) -> list[str]:
     return out
 
 
-def _cmd_verify(args, cfg: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     if args.code is not None:
         code = read_code_file(args.code)
         if args.d is not None:
@@ -233,14 +219,14 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
         if args.r is None:
             raise ValueError("single-code verification needs --r")
         reports = [
-            lp_witness.check_covering(code, r=args.r, tol=cfg.tol),
-            lp_witness.check_prop_ineq(code, ball_r=args.r, tol=cfg.tol),
+            lp_witness.check_covering(code, r=args.r, tol=args.tol),
+            lp_witness.check_prop_ineq(code, ball_r=args.r, tol=args.tol),
         ]
         violated = any(r.verdict == lp_witness.VERDICT_VIOLATED for r in reports)
-        if cfg.fmt == "json":
-            _emit_json({"seed": cfg.seed, "reports": [r.to_json_dict() for r in reports]})
+        if args.format == "json":
+            _emit_json({"seed": args.seed, "reports": [r.to_json_dict() for r in reports]})
         else:
-            lines = [f"# seed={cfg.seed}"]
+            lines = [f"# seed={args.seed}"]
             for rep in reports:
                 lines += _report_lines(rep)
             _emit_text(lines)
@@ -252,60 +238,60 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
         raise ValueError("pass either --all-linear or --random, not both")
     if args.all_linear:
         summary = lp_witness.exhaustive_verify(
-            args.n, "all-linear", seed=cfg.seed, threads=cfg.threads, tol=cfg.tol
+            args.n, "all-linear", seed=args.seed, threads=args.threads, tol=args.tol
         )
     elif args.random is not None:
         summary = lp_witness.exhaustive_verify(
             args.n,
             "random-general",
             trials=args.random,
-            seed=cfg.seed,
-            threads=cfg.threads,
-            tol=cfg.tol,
+            seed=args.seed,
+            threads=args.threads,
+            tol=args.tol,
         )
     else:
         raise ValueError("family verification needs --all-linear or --random TRIALS")
 
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json(summary)
     else:
         _emit_text([f"{k} {v}" for k, v in summary.items()])
     return 0 if summary["violations"] == 0 else 1
 
 
-def _cmd_wht(args, cfg: RunConfig) -> int:
+def _cmd_wht(args) -> int:
     code = read_code_file(args.code)
     fhat = wht(code.indicator())
-    if cfg.fmt == "json":
-        _emit_json({"seed": cfg.seed, "n": code.n, "values": fhat.values.tolist()})
-    elif cfg.fmt == "csv":
+    if args.format == "json":
+        _emit_json({"seed": args.seed, "n": code.n, "values": fhat.values.tolist()})
+    elif args.format == "csv":
         lines = ["index,value"] + [
             f"{i},{fmt9(v)}" for i, v in enumerate(fhat.values.tolist())
         ]
         _emit_text(lines)
     else:
-        lines = [f"# seed={cfg.seed}"] + [
+        lines = [f"# seed={args.seed}"] + [
             f"{i} {fmt9(v)}" for i, v in enumerate(fhat.values.tolist())
         ]
         _emit_text(lines)
     return 0
 
 
-def _cmd_cover(args, cfg: RunConfig) -> int:
+def _cmd_cover(args) -> int:
     code = read_code_file(args.code)
     frac = lp_witness.covered_fraction(code, args.r)
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json(
-            {"seed": cfg.seed, "n": code.n, "r": args.r, "covered_fraction": frac}
+            {"seed": args.seed, "n": code.n, "r": args.r, "covered_fraction": frac}
         )
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         _emit_text(["n,r,covered_fraction", f"{code.n},{args.r},{fmt9(frac)}"])
     else:
-        _emit_text([f"# seed={cfg.seed}", f"covered_fraction {fmt9(frac)}"])
+        _emit_text([f"# seed={args.seed}", f"covered_fraction {fmt9(frac)}"])
     return 0
 
 
-def _cmd_rate_table(args, cfg: RunConfig) -> int:
+def _cmd_rate_table(args) -> int:
     if args.deltas is not None and args.step is not None:
         raise ValueError("pass either --deltas or --step, not both")
     if args.step is not None:
@@ -322,12 +308,12 @@ def _cmd_rate_table(args, cfg: RunConfig) -> int:
         raise ValueError("rate-table needs --deltas or --step")
 
     rows = bounds_mod.rate_table(deltas)
-    if cfg.fmt == "json":
-        _emit_json({"seed": cfg.seed, "rows": [[d, r] for d, r in rows]})
-    elif cfg.fmt == "csv":
-        sys.stdout.write(bounds_mod.rate_table(deltas, out_format="csv"))
+    if args.format == "json":
+        _emit_json({"seed": args.seed, "rows": [[d, r] for d, r in rows]})
+    elif args.format == "csv":
+        _emit_text(["delta,rate"] + [f"{fmt9(d)},{fmt9(r)}" for d, r in rows])
     else:
-        lines = [f"# seed={cfg.seed}"]
+        lines = [f"# seed={args.seed}"]
         lines += [f"{fmt9(d)} {fmt9(r)}" for d, r in rows]
         _emit_text(lines)
     return 0
@@ -346,15 +332,8 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        fmt=args.format,
-        tol=args.tol,
-        threads=args.threads,
-        seed=args.seed,
-    )
     try:
-        return _DISPATCH[args.subcommand](args, cfg)
+        return _DISPATCH[args.subcommand](args)
     except lp_witness.VerificationError as exc:
         sys.stderr.write(str(exc) + "\n")
         return 1

@@ -288,22 +288,23 @@ def random_code(n: int, min_d: int, seed: int = 0) -> Code:
 
     Scans a seeded permutation of the cube, keeping every point compatible
     with all previously kept ones; the result is maximal by inclusion and
-    deterministic for a fixed seed.  min_d larger than n leaves no room for
-    a second word, so the result degenerates to a single random point.
+    deterministic for a fixed seed.  A kept word blocks its radius-(min_d-1)
+    ball, so compatibility is one lookup per point.  min_d larger than n
+    leaves no room for a second word, so the result degenerates to a single
+    random point.
     """
     if min_d < 1:
         raise ValueError(f"need min_d >= 1, got {min_d}")
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(1 << n).astype(np.uint64)
-    if min_d == 1:
-        return Code(n, tuple(range(1 << n)))
-    chosen = np.empty(1 << n, dtype=np.uint64)
-    count = 0
-    for p in perm:
-        if count == 0 or int(_popcounts(chosen[:count] ^ p).min()) >= min_d:
-            chosen[count] = p
-            count += 1
-    return Code(n, tuple(int(x) for x in chosen[:count]))
+    perm = rng.permutation(1 << n)
+    ball = np.flatnonzero(hamming_weights(n) < min_d)
+    blocked = np.zeros(1 << n, dtype=bool)
+    chosen = []
+    for p in perm.tolist():
+        if not blocked[p]:
+            chosen.append(p)
+            blocked[ball ^ p] = True
+    return Code(n, tuple(chosen))
 
 
 @lru_cache(maxsize=None)

@@ -56,6 +56,16 @@ def naive_pair_distance_counts(points, n):
     return counts
 
 
+def naive_random_code(n, min_d, seed):
+    """Pairwise greedy over the seeded permutation: keep a point when its
+    distance to every kept word is at least min_d."""
+    kept = []
+    for p in np.random.default_rng(seed).permutation(1 << n).tolist():
+        if all(bin(p ^ q).count("1") >= min_d for q in kept):
+            kept.append(p)
+    return Code(n, tuple(kept))
+
+
 def dense_ball_lambda(n, r):
     """Top eigenvalue of the induced ball subgraph via a dense eigensolve."""
     pts = [x for x in range(1 << n) if bin(x).count("1") <= r]

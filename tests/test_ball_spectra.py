@@ -19,7 +19,7 @@ from cube_spectra import (
     min_radius_for_lambda,
 )
 from cube_spectra.ball_spectra import _eigenvalues_below, subset_top_eigenpair
-from cube_spectra.bounds import ball_size
+from cube_spectra.bounds import ball_size, finite_code_bound
 
 
 def test_profile_lift():
@@ -248,3 +248,60 @@ def test_lambda_ball_exact_ends_where_floats_are_coarser_than_its_width():
     assert 2**19 < lam < 2**20
     assert _eigenvalues_below(n, r, lam * (1 - 1e-12)) <= r
     assert _eigenvalues_below(n, r, lam * (1 + 1e-12)) == r + 1
+
+
+def test_min_radius_matches_the_float_rule():
+    # the rule before exact selection: smallest r whose bisected ball
+    # eigenvalue reaches the target within 1e-9.  At t = n only the whole
+    # cube qualifies, but lambda(n, n-1) sits within 1e-9 of n from n = 36
+    # on, so there the float rule answered n-1.
+    for n in range(61):
+        lams = [lambda_ball_exact(n, r) for r in range(n + 1)]
+        for t in range(n):
+            expected = next(r for r, lam in enumerate(lams) if lam >= t - 1e-9)
+            assert min_radius_for_lambda(n, t) == expected, (n, t)
+            assert min_radius_for_lambda(n, float(t)) == expected, (n, t)
+        assert min_radius_for_lambda(n, n) == n
+
+
+def test_eigen_recurrence_stops_at_the_first_sign_change():
+    for n in range(1, 25):
+        lams = list(np.linspace(0.0, n, 37))
+        lams += [min(lambda_ball_exact(n, r), n) for r in range(n + 1)]
+        for lam in lams:
+            g, fnp = eigen_recurrence(n, float(lam))
+            if fnp <= n:
+                assert len(g.values) == fnp + 1, (n, lam)
+                assert all(v > 0 for v in g.values[:fnp]) and g.values[fnp] <= 0
+            else:
+                assert all(v > 0 for v in g.values)
+
+
+def _dense_pointwise(w, tol):
+    f = w.lift()
+    af = adjacency_apply(f)
+    return bool((f.values >= 0).all() and (af.values >= (w.lam - tol) * f.values).all())
+
+
+def test_verify_pointwise_agrees_with_the_dense_check():
+    for n in range(1, 13):
+        for r in range(n + 1):
+            w = lambda_for_radius_recurrence(n, r)
+            for shift in (0.0, 1e-6, 0.1):
+                v = BallEigenWitness(n=n, r=r, lam=w.lam + shift, profile=w.profile, p=w.p)
+                assert v.verify_pointwise(tol=1e-9) == _dense_pointwise(v, 1e-9), (n, r, shift)
+            assert w.verify_pointwise(tol=1e-9)
+
+
+def test_verify_pointwise_checks_a_certificate_beyond_dense_reach():
+    cert = finite_code_bound(1000, 100).certificate
+    w = BallEigenWitness(
+        n=cert["n"],
+        r=cert["r"],
+        lam=cert["lambda"],
+        profile=SymmetricProfile(cert["n"], cert["profile"]),
+        p=cert["p"],
+    )
+    assert w.verify_pointwise(tol=1e-9)
+    raised = BallEigenWitness(n=w.n, r=w.r, lam=w.lam + 1e-6, profile=w.profile, p=w.p)
+    assert not raised.verify_pointwise(tol=1e-9)

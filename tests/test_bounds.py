@@ -111,6 +111,14 @@ def test_finite_code_bound_json_big_integer():
     assert d["bound"] > 2**64  # exact big integer survives serialization
 
 
+def test_certificate_profile_is_compact_and_serializes_as_a_list():
+    rep = finite_code_bound(100, 20)
+    profile = rep.certificate["profile"]
+    assert profile.itemsize == 8 and len(profile) == rep.certificate["p"] + 1
+    as_json = rep.to_json_dict()["certificate"]["profile"]
+    assert type(as_json) is list and as_json == list(profile)
+
+
 def test_rate_report():
     rep = rate_report(0.1)
     assert rep.kind == "rate" and rep.value == pytest.approx(0.721928, abs=1e-6)
@@ -152,13 +160,6 @@ def test_rate_table():
     assert rate_table([]) == []
     with pytest.raises(ValueError):
         rate_table([0.7])
-
-
-def test_rate_table_rendered_formats():
-    assert rate_table([0, 0.5], out_format="csv") == "delta,rate\n0,1\n0.5,0\n"
-    assert json.loads(rate_table([0.1], out_format="json")) == [[0.1, 0.721928095]]
-    with pytest.raises(ValueError, match="format"):
-        rate_table([0.1], out_format="tsv")
 
 
 def test_bound_report_roundtrip():

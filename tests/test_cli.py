@@ -2,9 +2,11 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from conftest import even_weight_code
 from cube_spectra import (
     Code,
     covered_fraction,
@@ -229,3 +231,22 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "# seed=0\nlambda 1.41421356\n"
+
+
+def test_cli_output_matches_golden_bytes(tmp_path, capsys):
+    # stdout recorded from the library before its ball routines moved to
+    # exact r* selection and weight-space witness checks; "@name" is a code
+    # file written below
+    write_code_file(Code(4, (0b0000, 0b1111)), tmp_path / "rep4.txt")
+    write_code_file(even_weight_code(4), tmp_path / "even4.txt")
+    write_code_file(Code(2, (0, 1, 2, 3)), tmp_path / "full2.txt")
+    golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+    assert len(golden) == 17
+    for case in golden:
+        argv = [
+            str(tmp_path / f"{a[1:]}.txt") if a.startswith("@") else a
+            for a in case["argv"]
+        ]
+        rc, out = run_cli(capsys, *argv)
+        assert rc == 0, case["argv"]
+        assert out == case["stdout"], case["argv"]

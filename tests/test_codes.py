@@ -11,6 +11,7 @@ from conftest import (
     hamming_7_4,
     naive_min_distance,
     naive_pair_distance_counts,
+    naive_random_code,
 )
 import cube_spectra
 from cube_spectra import (
@@ -316,6 +317,16 @@ def test_random_code_min_distance_and_maximality():
         outside = set(range(32)) - set(c.points)
         for x in outside:
             assert any(bin(x ^ p).count("1") < 3 for p in c.points)
+
+
+def test_random_code_matches_the_pairwise_greedy():
+    rng = np.random.default_rng(2026)
+    for _ in range(100):
+        n = int(rng.integers(1, 11))
+        min_d = int(rng.integers(1, n + 2))
+        seed = int(rng.integers(2**32))
+        assert random_code(n, min_d, seed) == naive_random_code(n, min_d, seed), (
+            n, min_d, seed)
 
 
 def test_random_code_deterministic():

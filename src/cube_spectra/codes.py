@@ -253,34 +253,31 @@ def distance_distribution(c: Code) -> DistanceDistribution:
     return DistanceDistribution(c.n, tuple(pairs / c.size))
 
 
-def enumerate_linear_codes(n: int, k: int):
-    """Yield every k-dimensional subspace of F2^n exactly once.
+def _echelon_rows(n: int, k: int) -> np.ndarray:
+    """(count, k) int64 echelon generator rows of every k-dim subspace of F2^n.
 
-    Enumerates canonical echelon forms directly: choose pivot columns, then
-    fill the free positions (non-pivot columns to the right of each pivot)
-    in all 2^free ways.  Count per pivot set multiplies out to the Gaussian
-    binomial coefficient.
+    For each pivot set in combinations order, the free positions (non-pivot
+    columns right of each pivot, row by row) take the bits of 0 .. 2^free - 1
+    in turn; the count per pivot set is the Gaussian binomial coefficient.
     """
     if not (1 <= k <= n <= 8):
         raise ValueError(f"enumeration supports 1 <= k <= n <= 8, got n={n} k={k}")
+    blocks = []
     for pivots in itertools.combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [
-            [col for col in range(n) if col not in pivot_set and col > p]
-            for p in pivots
-        ]
-        total = sum(len(f) for f in free)
-        for bits in range(1 << total):
-            rows = []
-            t = 0
-            for p, cols in zip(pivots, free):
-                row = 1 << p
-                for col in cols:
-                    if (bits >> t) & 1:
-                        row |= 1 << col
-                    t += 1
-                rows.append(row)
-            yield LinearCode(n, tuple(rows))
+        slots = [(j, col) for j, p in enumerate(pivots)
+                 for col in range(p + 1, n) if col not in pivots]
+        bits = np.arange(1 << len(slots), dtype=np.int64)
+        rows = np.tile(np.left_shift(1, np.array(pivots, dtype=np.int64)), (len(bits), 1))
+        for t, (j, col) in enumerate(slots):
+            rows[:, j] |= ((bits >> t) & 1) << col
+        blocks.append(rows)
+    return np.concatenate(blocks)
+
+
+def enumerate_linear_codes(n: int, k: int):
+    """Yield every k-dim subspace of F2^n once, in the order of :func:`_echelon_rows`."""
+    for row in _echelon_rows(n, k).tolist():
+        yield LinearCode(n, tuple(row))
 
 
 def random_code(n: int, min_d: int, seed: int = 0) -> Code:

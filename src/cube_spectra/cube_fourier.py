@@ -44,9 +44,15 @@ def sweep_dimension_cap() -> int:
     return int(raw) if raw else 24
 
 
-@lru_cache(maxsize=64)
 def hamming_weights(n: int) -> np.ndarray:
-    """Read-only array of popcounts for every index in [0, 2^n)."""
+    """Read-only array of popcounts for every index in [0, 2^n), n within the cap."""
+    if n > (cap := transform_dimension_cap()):
+        raise ValueError(f"dimension must be at most {cap}, got {n}")
+    return _hamming_weights(n)
+
+
+@lru_cache(maxsize=64)
+def _hamming_weights(n: int) -> np.ndarray:
     w = np.zeros(1, dtype=np.uint8)
     for _ in range(n):
         w = np.concatenate([w, w + 1])

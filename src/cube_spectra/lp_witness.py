@@ -32,8 +32,9 @@ MacWilliams (:func:`weight_spectra`); phi's ratio is sum(P) / P_0:
     size:      mean(F) = sqrt(|C|/2^n) fhat_0,  mean(F^2) = 2^-n sum P_w fhat_w^2
     covering:  mean(F) = (|C|/2^n) fhat_0,      mean(F^2) = 4^-n sum T_w fhat_w^2
 
-All radii are one matrix product, a family runs in chunks of codes, and the
-covered-union counts stay exact bitmask dilations.  An explicit subset B
+All radii are one matrix product, a family runs in chunks of codes (the
+linear family spanned from arrays of echelon rows), and the covered-union
+counts are exact dilations of bit-packed indicators.  An explicit subset B
 runs the same sums over all 2^n points.
 
 Reports never silently skip: an unmet premise is a verdict, and a violated
@@ -49,7 +50,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from typing import Optional
 
 import numpy as np
@@ -64,6 +65,7 @@ from .ball_spectra import (
 from .bounds import ball_size
 from .codes import (
     Code,
+    _echelon_rows,
     autocorrelation,
     dual_distance,
     enumerate_linear_codes,
@@ -207,20 +209,32 @@ def _indicators(codes, n: int) -> np.ndarray:
     return mask
 
 
-def _dilate_once(mask: np.ndarray, n: int) -> np.ndarray:
-    """Add every point at distance 1, along the last axis."""
-    out, split = mask.copy(), mask.shape[:-1] + (-1, 2)
-    for i in range(n):
-        out |= mask.reshape(split + (1 << i,))[..., ::-1, :].reshape(out.shape)
-    return out
+# _LOW_HALVES[i]: the bits j of a 64-point word whose index bit i is 0.
+_LOW_HALVES = np.array([sum(1 << j for j in range(64) if not j >> i & 1) for i in range(6)],
+                       dtype=np.uint64)
 
 
 def _covered_counts(mask: np.ndarray, n: int, r_max: int) -> np.ndarray:
-    """covered[c, r]: exact number of points within distance r of code c."""
-    counts = [np.count_nonzero(mask, axis=-1)]
+    """covered[c, r]: exact number of points within distance r of code c.
+
+    The indicators are packed 64 points to a little-endian uint64 word, so
+    flipping index bit i < 6 is a shift and mask inside every word and
+    flipping bit i >= 6 swaps words.  Below n = 6 the one word is partial;
+    flips of bits below n never reach its zero padding.
+    """
+    packed = np.packbits(mask, axis=-1, bitorder="little")
+    pad = [(0, 0)] * (mask.ndim - 1) + [(0, -packed.shape[-1] % 8)]
+    words = np.pad(packed, pad).view("<u8")
+    split = words.shape[:-1] + (-1, 2)
+    counts = [np.bitwise_count(words).sum(axis=-1, dtype=np.int64)]
     for _ in range(r_max):
-        mask = _dilate_once(mask, n)
-        counts.append(np.count_nonzero(mask, axis=-1))
+        out = words.copy()
+        for i, low in enumerate(_LOW_HALVES[:n]):
+            out |= ((words & low) << (1 << i)) | ((words >> (1 << i)) & low)
+        for i in range(6, n):
+            out |= words.reshape(split + (1 << (i - 6),))[..., ::-1, :].reshape(words.shape)
+        words = out
+        counts.append(np.bitwise_count(words).sum(axis=-1, dtype=np.int64))
     return np.stack(counts, axis=-1)
 
 
@@ -402,6 +416,30 @@ def check_covering(
 _CHUNK_ENTRIES = 1 << 16
 
 
+def _linear_chunks(n: int, step: int):
+    """(indicators, member) for chunks of every linear code of length n.
+
+    Dimension by dimension, up to ``step`` echelon rows at a time are
+    spanned straight into indicator rows; member(i) rebuilds code i of the
+    chunk, with its context, by its position in :func:`enumerate_linear_codes`.
+    """
+    for k in range(1, n + 1):
+        rows = _echelon_rows(n, k)
+        for start in range(0, len(rows), step):
+            part = rows[start : start + step]
+            span = np.zeros((len(part), 1), dtype=np.int64)
+            for g in part.T:
+                span = np.concatenate([span, span ^ g[:, None]], axis=1)
+            mask = np.zeros((len(part), 1 << n), dtype=bool)
+            np.put_along_axis(mask, span, True, axis=1)
+            yield mask, partial(_linear_member, n, k, start)
+
+
+def _linear_member(n: int, k: int, start: int, i: int):
+    lc = next(itertools.islice(enumerate_linear_codes(n, k), start + i, None))
+    return lc.expand(), {"mode": "all-linear", "k": k}
+
+
 def exhaustive_verify(
     n: int,
     mode: str,
@@ -420,14 +458,11 @@ def exhaustive_verify(
     family runs in chunks of codes in one thread, every radius at once;
     ``threads`` is accepted and changes neither the work nor the summary.
     """
+    step = max(1, _CHUNK_ENTRIES >> n)
     if mode == "all-linear":
         if not 1 <= n <= 7:
             raise ValueError(f"all-linear mode supports 1 <= n <= 7, got {n}")
-        family = (
-            (lc.expand(), {"mode": mode, "k": lc.dim})
-            for k in range(1, n + 1)
-            for lc in enumerate_linear_codes(n, k)
-        )
+        chunks = _linear_chunks(n, step)
     elif mode == "random-general":
         if not 1 <= n <= 12:
             raise ValueError(f"random-general mode supports 1 <= n <= 12, got {n}")
@@ -441,18 +476,18 @@ def exhaustive_verify(
              {"mode": mode, "trial": t, "min_d": min_d, "code_seed": sub_seed})
             for t, min_d, sub_seed in draws
         )
+        parts = iter(lambda: list(itertools.islice(family, step)), [])
+        chunks = ((_indicators([c for c, _ in p], n), p.__getitem__) for p in parts)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     witnesses = lam, ess_f, b_size = _ball_table(n)[:3]
     count = holds = unmet = 0
-    while part := list(itertools.islice(family, max(1, _CHUNK_ENTRIES >> n))):
-        codes = [code for code, _ in part]
-        count += len(codes)
-        mask = _indicators(codes, n)
+    for mask, member in chunks:
+        count += len(mask)
+        sizes = np.count_nonzero(mask, axis=-1)[:, None]
         moments = d, ef, ef_sq, phi_ratio = _ball_moments(mask, n, n)
         covered = _covered_counts(mask, n, n)
-        sizes = np.array([code.size for code in codes])[:, None]
         premise = _premise_ok(n, d[:, None, :], lam[:, None], tol)  # (code, r, prop)
         failed = np.stack([premise[..., k] & ~reduce(np.logical_and, _inequalities(
             prop, n, sizes, b_size, ess_f, ef[..., k], ef_sq[..., k],
@@ -460,7 +495,7 @@ def exhaustive_verify(
         ).values()) for k, prop in enumerate((PROP_SIZE, PROP_COVERING))], axis=-1)
         if failed.any():
             i, r, k = (int(x) for x in np.unravel_index(failed.argmax(), failed.shape))
-            code, context = part[i]
+            code, context = member(i)
             rep = _report(k, code, i, r, r, moments, witnesses, int(covered[i, r]), tol)
             raise VerificationError(rep, code, {"seed": seed, **context})
         holds += int(premise.sum())

@@ -1,6 +1,8 @@
 """Shared brute-force oracles: direct-definition implementations used to
 derive expected values, independent of the library's fast paths."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,34 @@ def naive_random_code(n, min_d, seed):
         if all(bin(p ^ q).count("1") >= min_d for q in kept):
             kept.append(p)
     return Code(n, tuple(kept))
+
+
+def naive_enumerate_linear_codes(n, k):
+    """Generator tuples of every k-dimensional subspace, one at a time: for
+    each pivot set, fill the free positions (non-pivot columns right of
+    each pivot) from the bits of a counter."""
+    for pivots in itertools.combinations(range(n), k):
+        free = [[col for col in range(n) if col not in pivots and col > p] for p in pivots]
+        for bits in range(1 << sum(len(f) for f in free)):
+            rows, t = [], 0
+            for p, cols in zip(pivots, free):
+                row = 1 << p
+                for col in cols:
+                    if (bits >> t) & 1:
+                        row |= 1 << col
+                    t += 1
+                rows.append(row)
+            yield tuple(rows)
+
+
+def naive_covered_counts(points, n):
+    """counts[r] = points of the cube whose nearest codeword (by popcount of
+    the XOR) lies within distance r, for r = 0..n."""
+    cube = np.arange(1 << n, dtype=np.uint64)
+    nearest = np.full(1 << n, n + 1)
+    for p in points:
+        nearest = np.minimum(nearest, np.bitwise_count(cube ^ np.uint64(p)))
+    return [int((nearest <= r).sum()) for r in range(n + 1)]
 
 
 def dense_ball_lambda(n, r):

@@ -223,6 +223,18 @@ def test_hamming_ball_members():
     assert hamming_ball(0, 0).members == (0,)
 
 
+def test_weight_lifts_check_the_dimension_cap_first(monkeypatch):
+    # the cap must be checked before the 2^n weight table is built: at the
+    # default cap, n = 1000 would exhaust memory instead of raising
+    monkeypatch.setenv("CUBE_SPECTRA_MAX_N", "10")
+    with pytest.raises(ValueError, match="at most 10"):
+        hamming_ball(11, 2)
+    with pytest.raises(ValueError, match="at most 10"):
+        lambda_for_radius_recurrence(11, 2).lift()
+    with pytest.raises(ValueError, match="at most 10"):
+        SymmetricProfile(11, (1.0,)).lift()
+
+
 def test_ball_beats_random_subsets_of_equal_size():
     # spot check of near-optimality: seeded random subsets with |X| = |B(2)|
     # in {0,1}^8 stay below the ball's eigenvalue

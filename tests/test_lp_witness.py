@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import even_weight_code, hamming_7_4
+from conftest import even_weight_code, hamming_7_4, naive_covered_counts
 from cube_spectra import (
     Code,
     SubsetGraph,
@@ -35,7 +35,9 @@ from cube_spectra.lp_witness import (
     VERDICT_PREMISE_UNMET,
     _ball_moments,
     _ball_table,
+    _covered_counts,
     _indicators,
+    _linear_chunks,
     effective_distance,
 )
 
@@ -202,6 +204,37 @@ def test_covered_fraction_cap(monkeypatch):
     monkeypatch.setenv("CUBE_SPECTRA_MAX_N", "3")
     with pytest.raises(ValueError, match="capped"):
         covered_fraction(Code(4, (0,)), 1)
+
+
+@pytest.mark.filterwarnings("ignore::cube_spectra.SingletonDistanceWarning")
+def test_covered_counts_match_the_nearest_codeword_oracle():
+    # n < 6 packs into one partial word, bits 0..5 flip inside a word and
+    # bits 6.. swap words
+    rng = np.random.default_rng(17)
+    by_n = {
+        n: [lc.expand() for k in range(1, n + 1) for lc in enumerate_linear_codes(n, k)]
+        for n in range(1, 6)
+    }
+    for t in range(200):
+        n = int(rng.integers(1, 13))
+        by_n.setdefault(n, []).append(random_code(n, int(rng.integers(1, n + 2)), seed=t))
+    assert set(by_n) == set(range(1, 13))
+    for n, codes in by_n.items():
+        got = _covered_counts(_indicators(codes, n), n, n)
+        for c, row in zip(codes, got.tolist()):
+            assert row == naive_covered_counts(c.points, n), (n, c.points)
+
+
+def test_linear_chunks_span_every_code_in_family_order():
+    for n in range(1, 8):
+        codes = [(lc.expand(), k)
+                 for k in range(1, n + 1) for lc in enumerate_linear_codes(n, k)]
+        chunks = list(_linear_chunks(n, 7))  # chunk boundaries inside each dimension
+        masks = np.concatenate([mask for mask, _ in chunks])
+        np.testing.assert_array_equal(masks, _indicators([c for c, _ in codes], n))
+        if n <= 4:
+            members = [member(i) for mask, member in chunks for i in range(len(mask))]
+            assert members == [(c, {"mode": "all-linear", "k": k}) for c, k in codes]
 
 
 def test_witness_convolution_eigen_inequality():

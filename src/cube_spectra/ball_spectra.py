@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -176,7 +175,6 @@ def _bisect(lo: float, hi: float, width: float, above) -> tuple[float, float]:
     return lo, hi
 
 
-@lru_cache(maxsize=None)
 def lambda_ball_exact(n: int, r: int) -> float:
     """Top eigenvalue of the subgraph induced by the ball B(r) in {0,1}^n.
 

@@ -26,7 +26,7 @@ class BoundReport:
     the memory of a list of floats; to_json_dict() turns it into a list.
     """
 
-    kind: str  # "finite-code" | "rate" | "covering-radius" | "comparator"
+    kind: str  # "finite-code" | "rate"
     n: Optional[int]
     d: Optional[int]
     delta: Optional[float]

@@ -5,6 +5,14 @@ here.  Output is deterministic byte-for-byte for a fixed invocation: reals
 are printed with 9 significant digits, JSON keys are emitted in a fixed
 order, and the seed is echoed into json/text headers.
 
+There is one output path.  A handler builds its result three ways (a JSON
+record, text rows and, where the subcommand has fixed columns, csv rows)
+and hands them to :func:`_emit`, the only reader of ``--format``: json is
+``{"seed": ..., **record}``, csv is the csv rows (text where there are
+none), and text is ``# seed=N`` followed by the rows.  Cells of a row are
+joined by a space or a comma, reals through :func:`fmt9`.  The family
+summary of ``verify`` already carries its seed and is written unseeded.
+
 Exit codes: 0 success, 1 proposition violation or internal cross-check
 disagreement, 2 usage/domain/parse errors.
 """
@@ -26,6 +34,11 @@ from .ball_spectra import (
 from .codes import CodeFileError, min_distance, read_code_file
 from .cube_fourier import wht
 
+_REPORT_KEYS = (
+    "proposition", "n", "d", "r", "lambda", "premise_ok",
+    "ef2", "ef_sq", "covered", "bound_lhs", "bound_rhs", "verdict",
+)
+
 
 def fmt9(x: float) -> str:
     return f"{x:.9g}"
@@ -41,19 +54,22 @@ def _round9(obj):
     return obj
 
 
-def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(_round9(obj), separators=(", ", ": ")) + "\n")
+def _cell(v) -> str:
+    return fmt9(v) if isinstance(v, float) else str(v)
 
 
-def _emit_text(lines) -> None:
+def _emit(args, record: dict, rows, csv_rows=None, seeded: bool = True) -> None:
+    """Write one result to stdout in the format that ``--format`` picks."""
+    if args.format == "json":
+        obj = {"seed": args.seed, **record} if seeded else record
+        lines = [json.dumps(_round9(obj), separators=(", ", ": "))]
+    elif args.format == "csv" and csv_rows is not None:
+        lines = [",".join(map(_cell, row)) for row in csv_rows]
+    else:
+        lines = [" ".join(map(_cell, row)) for row in rows]
+        if seeded:
+            lines.insert(0, f"# seed={args.seed}")
     sys.stdout.write("".join(line + "\n" for line in lines))
-
-
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    sub.add_argument("--tol", type=float, default=1e-9)
-    sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,47 +80,50 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("lambda", help="top eigenvalue of a Hamming ball")
+    p.set_defaults(run=_cmd_lambda)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     method = p.add_mutually_exclusive_group(required=True)
-    method.add_argument("--exact", action="store_const", dest="method", const="exact")
-    method.add_argument(
-        "--recurrence", action="store_const", dest="method", const="recurrence"
-    )
-    method.add_argument(
-        "--bruteforce", action="store_const", dest="method", const="bruteforce"
-    )
-    _common_flags(p)
+    for name in ("exact", "recurrence", "bruteforce"):
+        method.add_argument(f"--{name}", action="store_const", dest="method",
+                            const=name)
 
     p = subs.add_parser("bound", help="finite code bound or asymptotic rate")
+    p.set_defaults(run=_cmd_bound)
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--delta", type=float)
-    _common_flags(p)
 
     p = subs.add_parser("verify", help="run the inequality checks")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--n", type=int)
     p.add_argument("--all-linear", action="store_true")
     p.add_argument("--random", type=int, metavar="TRIALS")
     p.add_argument("--code", metavar="FILE")
     p.add_argument("--r", type=int)
     p.add_argument("--d", type=int)
-    _common_flags(p)
 
     p = subs.add_parser("wht", help="transform of a code file's indicator")
+    p.set_defaults(run=_cmd_wht)
     p.add_argument("--code", metavar="FILE", required=True)
-    _common_flags(p)
 
     p = subs.add_parser("cover", help="covered fraction at a radius")
+    p.set_defaults(run=_cmd_cover)
     p.add_argument("--code", metavar="FILE", required=True)
     p.add_argument("--r", type=int, required=True)
-    _common_flags(p)
 
     p = subs.add_parser("rate-table", help="tabulate the asymptotic rate bound")
+    p.set_defaults(run=_cmd_rate_table)
     p.add_argument("--deltas", default=None, help="comma-separated list")
     p.add_argument("--step", type=float, default=None, help="grid step over [0, 1/2]")
-    _common_flags(p)
 
+    # common flags last, so usage lines and --help pages list them after the
+    # subcommand's own
+    for p in subs.choices.values():
+        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -136,21 +155,14 @@ def _cmd_lambda(args) -> int:
             )
             return 1
 
-    if args.format == "json":
-        out = {"seed": args.seed, "n": n, "r": r, "method": method, "lambda": lam}
-        if witness is not None:
-            out["p"] = witness.p
-            out["profile"] = list(witness.profile.values)
-        _emit_json(out)
-    elif args.format == "csv":
-        p_field = str(witness.p) if witness is not None else ""
-        _emit_text(["n,r,method,lambda,p", f"{n},{r},{method},{fmt9(lam)},{p_field}"])
-    else:
-        lines = [f"# seed={args.seed}", f"lambda {fmt9(lam)}"]
-        if witness is not None:
-            lines.append(f"p {witness.p}")
-            lines.append("profile " + " ".join(fmt9(v) for v in witness.profile.values))
-        _emit_text(lines)
+    record = {"n": n, "r": r, "method": method, "lambda": lam}
+    rows, p = [("lambda", lam)], ""
+    if witness is not None:
+        p, profile = witness.p, list(witness.profile.values)
+        record.update(p=p, profile=profile)
+        rows += [("p", p), ("profile", *profile)]
+    csv_rows = [("n", "r", "method", "lambda", "p"), (n, r, method, lam, p)]
+    _emit(args, record, rows, csv_rows)
     return 0
 
 
@@ -159,52 +171,16 @@ def _cmd_bound(args) -> int:
         if args.n is not None or args.d is not None:
             raise ValueError("pass either --delta or (--n, --d), not both")
         report = bounds_mod.rate_report(args.delta)
+        cols, vals = ("delta", "rate"), (report.delta, report.value)
     else:
         if args.n is None or args.d is None:
             raise ValueError("finite bound needs both --n and --d")
         report = bounds_mod.finite_code_bound(args.n, args.d)
-
-    if args.format == "json":
-        _emit_json({"seed": args.seed, **report.to_json_dict()})
-    elif args.format == "csv":
-        if report.kind == "rate":
-            _emit_text(["delta,rate", f"{fmt9(report.delta)},{fmt9(report.value)}"])
-        else:
-            _emit_text(
-                [
-                    "n,d,r_star,lambda,bound",
-                    f"{report.n},{report.d},{report.r_star},"
-                    f"{fmt9(report.lambda_used)},{report.value}",
-                ]
-            )
-    else:
-        lines = [f"# seed={args.seed}", f"kind {report.kind}"]
-        if report.kind == "rate":
-            lines += [f"delta {fmt9(report.delta)}", f"rate {fmt9(report.value)}"]
-        else:
-            lines += [
-                f"n {report.n}",
-                f"d {report.d}",
-                f"r_star {report.r_star}",
-                f"lambda {fmt9(report.lambda_used)}",
-                f"bound {report.value}",
-            ]
-        _emit_text(lines)
+        cols = ("n", "d", "r_star", "lambda", "bound")
+        vals = (report.n, report.d, report.r_star, report.lambda_used, report.value)
+    rows = [("kind", report.kind), *zip(cols, vals)]
+    _emit(args, report.to_json_dict(), rows, [cols, vals])
     return 0
-
-
-def _report_lines(rep) -> list[str]:
-    d = rep.to_json_dict()
-    out = []
-    for key in (
-        "proposition", "n", "d", "r", "lambda", "premise_ok",
-        "ef2", "ef_sq", "covered", "bound_lhs", "bound_rhs", "verdict",
-    ):
-        val = d[key]
-        if isinstance(val, float):
-            val = fmt9(val)
-        out.append(f"{key} {val}")
-    return out
 
 
 def _cmd_verify(args) -> int:
@@ -222,72 +198,46 @@ def _cmd_verify(args) -> int:
             lp_witness.check_covering(code, r=args.r, tol=args.tol),
             lp_witness.check_prop_ineq(code, ball_r=args.r, tol=args.tol),
         ]
-        violated = any(r.verdict == lp_witness.VERDICT_VIOLATED for r in reports)
-        if args.format == "json":
-            _emit_json({"seed": args.seed, "reports": [r.to_json_dict() for r in reports]})
-        else:
-            lines = [f"# seed={args.seed}"]
-            for rep in reports:
-                lines += _report_lines(rep)
-            _emit_text(lines)
-        return 1 if violated else 0
+        dicts = [rep.to_json_dict() for rep in reports]
+        rows = [(key, d[key]) for d in dicts for key in _REPORT_KEYS]
+        _emit(args, {"reports": dicts}, rows)
+        return int(any(d["verdict"] == lp_witness.VERDICT_VIOLATED for d in dicts))
 
     if args.n is None:
         raise ValueError("verify needs --code FILE or --n with a family mode")
     if args.all_linear and args.random is not None:
         raise ValueError("pass either --all-linear or --random, not both")
-    if args.all_linear:
-        summary = lp_witness.exhaustive_verify(
-            args.n, "all-linear", seed=args.seed, threads=args.threads, tol=args.tol
-        )
-    elif args.random is not None:
-        summary = lp_witness.exhaustive_verify(
-            args.n,
-            "random-general",
-            trials=args.random,
-            seed=args.seed,
-            threads=args.threads,
-            tol=args.tol,
-        )
-    else:
+    if not args.all_linear and args.random is None:
         raise ValueError("family verification needs --all-linear or --random TRIALS")
-
-    if args.format == "json":
-        _emit_json(summary)
-    else:
-        _emit_text([f"{k} {v}" for k, v in summary.items()])
+    summary = lp_witness.exhaustive_verify(
+        args.n,
+        "all-linear" if args.all_linear else "random-general",
+        trials=args.random,
+        seed=args.seed,
+        threads=args.threads,
+        tol=args.tol,
+    )
+    _emit(args, summary, summary.items(), seeded=False)
     return 0 if summary["violations"] == 0 else 1
 
 
 def _cmd_wht(args) -> int:
     code = read_code_file(args.code)
-    fhat = wht(code.indicator())
-    if args.format == "json":
-        _emit_json({"seed": args.seed, "n": code.n, "values": fhat.values.tolist()})
-    elif args.format == "csv":
-        lines = ["index,value"] + [
-            f"{i},{fmt9(v)}" for i, v in enumerate(fhat.values.tolist())
-        ]
-        _emit_text(lines)
-    else:
-        lines = [f"# seed={args.seed}"] + [
-            f"{i} {fmt9(v)}" for i, v in enumerate(fhat.values.tolist())
-        ]
-        _emit_text(lines)
+    values = wht(code.indicator()).values.tolist()
+    rows = list(enumerate(values))
+    _emit(args, {"n": code.n, "values": values}, rows, [("index", "value"), *rows])
     return 0
 
 
 def _cmd_cover(args) -> int:
     code = read_code_file(args.code)
     frac = lp_witness.covered_fraction(code, args.r)
-    if args.format == "json":
-        _emit_json(
-            {"seed": args.seed, "n": code.n, "r": args.r, "covered_fraction": frac}
-        )
-    elif args.format == "csv":
-        _emit_text(["n,r,covered_fraction", f"{code.n},{args.r},{fmt9(frac)}"])
-    else:
-        _emit_text([f"# seed={args.seed}", f"covered_fraction {fmt9(frac)}"])
+    _emit(
+        args,
+        {"n": code.n, "r": args.r, "covered_fraction": frac},
+        [("covered_fraction", frac)],
+        [("n", "r", "covered_fraction"), (code.n, args.r, frac)],
+    )
     return 0
 
 
@@ -308,32 +258,14 @@ def _cmd_rate_table(args) -> int:
         raise ValueError("rate-table needs --deltas or --step")
 
     rows = bounds_mod.rate_table(deltas)
-    if args.format == "json":
-        _emit_json({"seed": args.seed, "rows": [[d, r] for d, r in rows]})
-    elif args.format == "csv":
-        _emit_text(["delta,rate"] + [f"{fmt9(d)},{fmt9(r)}" for d, r in rows])
-    else:
-        lines = [f"# seed={args.seed}"]
-        lines += [f"{fmt9(d)} {fmt9(r)}" for d, r in rows]
-        _emit_text(lines)
+    _emit(args, {"rows": rows}, rows, [("delta", "rate"), *rows])
     return 0
 
 
-_DISPATCH = {
-    "lambda": _cmd_lambda,
-    "bound": _cmd_bound,
-    "verify": _cmd_verify,
-    "wht": _cmd_wht,
-    "cover": _cmd_cover,
-    "rate-table": _cmd_rate_table,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.subcommand](args)
+        return args.run(args)
     except lp_witness.VerificationError as exc:
         sys.stderr.write(str(exc) + "\n")
         return 1

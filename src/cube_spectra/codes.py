@@ -310,10 +310,14 @@ def max_code_size_exact(n: int, d: int) -> int:
 
     Branch-and-bound maximum clique on the distance->=d graph over all 2^n
     points, with candidate sets as Python-int bitsets and a greedy-coloring
-    bound.  Practical up to n = 8; d = 1 is the complete graph (whole cube).
+    bound.  Supports n <= 8 except (8, 3), which the search does not finish
+    in minutes, so it raises ValueError at once.  d = 1 is the complete graph
+    (whole cube).
     """
     if not (1 <= d <= n <= 8):
         raise ValueError(f"exact search supports 1 <= d <= n <= 8, got n={n} d={d}")
+    if (n, d) == (8, 3):
+        raise ValueError("exact search does not finish for n=8 d=3")
     if d == 1:
         return 1 << n
     size = 1 << n

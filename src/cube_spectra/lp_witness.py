@@ -58,7 +58,7 @@ import numpy as np
 from .ball_spectra import (
     BallEigenWitness,
     SubsetGraph,
-    lambda_ball_exact,
+    lambda_ball_exact,  # noqa: F401  unused here; perfbench/spans.py wraps it by name
     lambda_for_radius_recurrence,
     subset_top_eigenpair,
 )
@@ -262,16 +262,19 @@ def covered_fraction(c: Code, r: int) -> float:
 def _ball_table(n: int):
     """Ball route by radius r = 0..n: (lambda, ess support of f, |B|, fhat).
 
+    lambda is the recurrence bisection's feasible end (exactly n at r = n),
+    not a bracket midpoint, which can overshoot the top eigenvalue.
     fhat[r, w] = 2^-n sum_i g_i K_i(w) for the witness profile g, and
     2^n mean(f)^2 / mean(f^2) comes from sums of g and g^2 against K_i(0) = C(n, i).
     """
     k = krawtchouk(n).astype(np.float64)
-    fhat, ess_f = np.zeros((n + 1, n + 1)), np.zeros(n + 1)
+    lam, ess_f, fhat = np.zeros(n + 1), np.zeros(n + 1), np.zeros((n + 1, n + 1))
     for r in range(n + 1):
-        g = np.array(lambda_for_radius_recurrence(n, r).profile.values)
+        w = lambda_for_radius_recurrence(n, r)
+        g = np.array(w.profile.values)
+        lam[r] = w.lam
         fhat[r] = g @ k[: len(g)] / float(1 << n)
         ess_f[r] = (g @ k[: len(g), 0]) ** 2 / ((g * g) @ k[: len(g), 0])
-    lam = np.array([lambda_ball_exact(n, r) for r in range(n + 1)])
     b_size = np.array([ball_size(n, r) for r in range(n + 1)], dtype=np.int64)
     for a in (lam, ess_f, b_size, fhat):
         a.flags.writeable = False

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -250,3 +252,35 @@ def test_cli_output_matches_golden_bytes(tmp_path, capsys):
         rc, out = run_cli(capsys, *argv)
         assert rc == 0, case["argv"]
         assert out == case["stdout"], case["argv"]
+
+
+def test_cli_format_matrix_matches_golden_bytes(tmp_path, monkeypatch):
+    # every subcommand in text, csv and json, the exit-1 and exit-2 paths and
+    # every --help page; "@name" is a code file written below ("@missing" is
+    # never written) and "@DIR" stands for its directory in stderr.  A null
+    # stderr is not pinned: the violation dump carries unrounded floats.
+    monkeypatch.setenv("COLUMNS", "80")
+    write_code_file(Code(4, (0b0000, 0b1111)), tmp_path / "rep4.txt")
+    write_code_file(even_weight_code(4), tmp_path / "even4.txt")
+    write_code_file(Code(2, (0, 1, 2, 3)), tmp_path / "full2.txt")
+    (tmp_path / "bad.txt").write_text("01\n0111\n")
+    golden = json.loads(
+        (Path(__file__).parent / "cli_golden_formats.json").read_text()
+    )
+    assert len(golden) == 97
+    for case in golden:
+        argv = [
+            str(tmp_path / f"{a[1:]}.txt") if a.startswith("@") else a
+            for a in case["argv"]
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc == case["exit"], case["argv"]
+        assert out.getvalue() == case["stdout"], case["argv"]
+        if case["stderr"] is not None:
+            got = err.getvalue().replace(str(tmp_path), "@DIR")
+            assert got == case["stderr"], case["argv"]

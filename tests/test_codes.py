@@ -1,6 +1,9 @@
 import ast
 import itertools
+import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +358,23 @@ def test_max_code_size_known_values():
     for (n, d), want in known.items():
         assert max_code_size_exact(n, d) == want
     assert max_code_size_exact(6, 1) == 64
+
+
+def test_max_code_size_exact_refuses_8_3_within_a_second():
+    # the search does not finish (8, 3) in minutes; a child process bounds
+    # the time, so a regression fails here instead of stalling the suite
+    code = (
+        "import json, time; from cube_spectra import max_code_size_exact as f\n"
+        "t = time.perf_counter()\n"
+        "try:\n    f(8, 3)\nexcept ValueError as exc:\n"
+        "    print(json.dumps([str(exc), time.perf_counter() - t]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=20,
+        check=True,
+    )
+    message, seconds = json.loads(proc.stdout)
+    assert "n=8 d=3" in message and seconds < 1.0
 
 
 def test_code_file_binary_form():

@@ -28,6 +28,8 @@ import numpy as np
 from .cube_fourier import CubeFunction, hamming_weights
 
 _RECURRENCE_OVERFLOW = 1e280
+_POWER_TOL = 1e-10
+_POWER_MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
@@ -98,15 +100,6 @@ class BallEigenWitness:
             i * g[i - 1] + (n - i) * g[i + 1] >= floor * g[i]
             for i in range(self.p + 1)
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "lambda": self.lam,
-            "p": self.p,
-            "profile": list(self.profile.values),
-        }
 
 
 @dataclass(frozen=True)
@@ -193,8 +186,10 @@ def _recurrence(n: int, lam: float) -> tuple[list, int]:
     """Extended-precision g(0), g(1), ... up to the first index where g <= 0.
 
     Returns the values and that index, or n+1 if g stays positive through
-    weight n.  If magnitudes overflow the loop stops and the tail counts as
-    sign-change-free.
+    weight n.  The forward recurrence is numerically unstable once lam sits
+    near a truncation eigenvalue, hence the extended precision; if
+    magnitudes overflow the loop stops and the tail counts as
+    sign-change-free (the values end there).
     """
     lam_x = np.longdouble(lam)
     g = [np.longdouble(1.0)]
@@ -211,13 +206,8 @@ def _recurrence(n: int, lam: float) -> tuple[list, int]:
 def eigen_recurrence(n: int, lam: float) -> tuple[SymmetricProfile, int]:
     """Profile g with g(0)=1 propagated by lam*g(i) = i*g(i-1) + (n-i)*g(i+1).
 
-    Returns the profile together with the smallest index where g <= 0, or
-    n+1 if g stays positive through weight n.  The recurrence stops at that
-    first nonpositive weight, so the profile then carries weights
-    0..first_nonpos only.  The forward recurrence is numerically unstable
-    once lam sits near a truncation eigenvalue, so it runs in extended
-    precision; if magnitudes overflow the loop stops and the tail counts as
-    sign-change-free (the profile is truncated there).
+    Returns the profile of :func:`_recurrence`, which stops at the first
+    nonpositive weight, and that weight (n+1 if there is none).
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -233,8 +223,8 @@ def lambda_for_radius_recurrence(n: int, r: int) -> BallEigenWitness:
     The predicate "first nonpositive index <= r+1" is monotone in lam (the
     sign change moves outward as lam grows), so bisection on [0, n] converges
     to the top eigenvalue of the radius-r truncation (width 1e-12, or adjacent
-    floats above 2^13); the witness keeps the positive head g(0..p) of the
-    profile evaluated on the feasible side.
+    floats above 2^13).  The witness is one recurrence run at the feasible
+    end: its lam is a lower bound, and it keeps that run's positive head g(0..p).
     """
     if not 0 <= r <= n:
         raise ValueError(f"radius must be in [0, n], got r={r} n={n}")
@@ -243,10 +233,9 @@ def lambda_for_radius_recurrence(n: int, r: int) -> BallEigenWitness:
         return _recurrence(n, lam)[1] <= r + 1
 
     lo = float(n) if feasible(float(n)) else _bisect(0.0, float(n), 1e-12, feasible)[0]
-    g, first_nonpos = eigen_recurrence(n, lo)
-    p = first_nonpos - 1 if first_nonpos <= n else n
-    profile = SymmetricProfile(n, g.values[: p + 1])
-    return BallEigenWitness(n=n, r=r, lam=lo, profile=profile, p=p)
+    g, first_nonpos = _recurrence(n, lo)
+    head = SymmetricProfile(n, g[:first_nonpos])
+    return BallEigenWitness(n=n, r=r, lam=lo, profile=head, p=first_nonpos - 1)
 
 
 def _induced_edges(b: SubsetGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -265,16 +254,15 @@ def _induced_edges(b: SubsetGraph) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(src), np.concatenate(dst)
 
 
-def subset_top_eigenpair(
-    b: SubsetGraph, tol: float = 1e-10, max_iter: int = 200_000
-) -> tuple[float, np.ndarray]:
+def subset_top_eigenpair(b: SubsetGraph) -> tuple[float, np.ndarray]:
     """Top eigenvalue and a nonnegative eigenvector of the induced adjacency.
 
     Power iteration on A + nI (the shift makes the spectrum nonnegative, so
     the iteration cannot oscillate between +/- lambda).  Converges when the
-    residual ||(A + nI)v - rho v|| certifies the Rayleigh quotient to tol.
-    The returned vector is aligned with ``b.members`` and nonnegative, so it
-    lifts to a valid witness function supported on the subset.
+    residual ||(A + nI)v - rho v|| certifies the Rayleigh quotient to
+    _POWER_TOL (relative above 1), within _POWER_MAX_ITER steps.  The returned
+    vector is aligned with ``b.members`` and nonnegative, so it lifts to a
+    valid witness function supported on the subset.
     """
     m = b.size
     if m == 1:
@@ -283,15 +271,15 @@ def subset_top_eigenpair(
     shift = float(b.n)
     v = np.full(m, 1.0 / math.sqrt(m))
     rho = shift
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = np.bincount(src, weights=v[dst], minlength=m) + shift * v
         rho = float(v @ w)
         residual = float(np.linalg.norm(w - rho * v))
         v = w / np.linalg.norm(w)
-        if residual <= tol * max(1.0, rho):
+        if residual <= _POWER_TOL * max(1.0, rho):
             return rho - shift, v
     raise ArithmeticError(
-        f"power iteration did not reach residual {tol} in {max_iter} steps"
+        f"power iteration did not reach residual {_POWER_TOL} in {_POWER_MAX_ITER} steps"
     )
 
 

@@ -15,7 +15,11 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .ball_spectra import lambda_ball_exact, lambda_for_radius_recurrence, min_radius_for_lambda
+from .ball_spectra import (
+    lambda_ball_exact,  # noqa: F401  unused here; perfbench/spans.py wraps it by name
+    lambda_for_radius_recurrence,
+    min_radius_for_lambda,
+)
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,9 @@ def finite_code_bound(n: int, d: int) -> BoundReport:
     |C| <= 2d / (2d - n), Plotkin's bound.  An odd d is first raised to
     d' = d + 1 by a parity bit (n' = n + 1, same size, still 2d' > n'), the
     value is max(n, floor(2d' / (2d' - n'))), and value == n * |B(r*)|
-    holds only when 2d <= n.  The attached certificate is the witness
-    profile proving the eigenvalue lower bound at r*.
+    holds only when 2d <= n.  lambda is the certificate's: the feasible end
+    of the recurrence bisection at r*, a lower bound on lambda(B(r*)) that
+    the attached witness profile proves.
     """
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got n={n} d={d}")
@@ -107,9 +112,10 @@ def finite_code_bound(n: int, d: int) -> BoundReport:
         d=d,
         delta=None,
         r_star=r_star,
-        lambda_used=lambda_ball_exact(n, r_star),
+        lambda_used=witness.lam,
         value=value,
-        certificate={**witness.to_dict(), "profile": array("d", witness.profile.values)},
+        certificate={"n": n, "r": r_star, "lambda": witness.lam, "p": witness.p,
+                     "profile": array("d", witness.profile.values)},
     )
 
 

@@ -246,13 +246,16 @@ def _covered_union_subset(c: Code, subset: SubsetGraph) -> int:
     return int(mask.sum())
 
 
+def _check_sweep_cap(n: int) -> None:
+    if n > (cap := sweep_dimension_cap()):
+        raise ValueError(f"exact sweep capped at n={cap}, got n={n}")
+
+
 def covered_fraction(c: Code, r: int) -> float:
     """Exact fraction of the cube within distance r of the code."""
     if not 0 <= r <= c.n:
         raise ValueError(f"radius must be in [0, n], got {r}")
-    cap = sweep_dimension_cap()
-    if c.n > cap:
-        raise ValueError(f"exact sweep capped at n={cap}, got n={c.n}")
+    _check_sweep_cap(c.n)
     return _covered_counts(_indicators([c], c.n), c.n, r)[0, r] / float(1 << c.n)
 
 
@@ -356,6 +359,7 @@ def _check(k: int, c: Code, r, subset, tol) -> PropositionReport:
     n = c.n
     if (r is None) == (subset is None):
         raise ValueError("pass exactly one of a ball radius or an explicit subset")
+    _check_sweep_cap(n)
     if subset is None:
         if not 0 <= r <= n:
             raise ValueError(f"radius must be in [0, n], got {r}")

@@ -14,9 +14,11 @@ from cube_spectra import (
     finite_code_bound,
     first_lp_rate,
     lambda_ball_exact,
+    min_radius_for_lambda,
     rate_table,
     tietavainen_bound,
 )
+from cube_spectra import bounds
 from cube_spectra.bounds import BoundReport, rate_report
 
 
@@ -76,6 +78,20 @@ def test_finite_code_bound_spot_values():
     rep = finite_code_bound(7, 3)
     assert rep.r_star == 1 and rep.value == 56
     assert rep.lambda_used == pytest.approx(math.sqrt(7), abs=1e-9)
+
+
+def test_finite_code_bound_reports_its_certificates_lambda(monkeypatch):
+    # one lambda per bound, taken from the witness, and B(r*) reaches it
+    # (decided exactly); the Sturm bisection is not consulted
+    def refuse(*args):
+        raise AssertionError("finite_code_bound called lambda_ball_exact")
+
+    monkeypatch.setattr(bounds, "lambda_ball_exact", refuse)
+    for n in range(1, 41):
+        for d in range(1, n + 1):
+            rep = finite_code_bound(n, d)
+            assert rep.lambda_used == rep.certificate["lambda"], (n, d)
+            assert min_radius_for_lambda(n, rep.lambda_used) <= rep.r_star, (n, d)
 
 
 def test_finite_code_bound_plotkin_branch():

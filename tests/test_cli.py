@@ -224,6 +224,26 @@ def test_cli_outputs_are_deterministic(capsys):
     assert first == second
 
 
+def test_bound_csv_prints_the_certificates_lambda(capsys):
+    # lambda(B(19)) in {0,1}^134 is 82.95958365000...; the certificate's
+    # lower bound rounds to ...837, and the report prints that one value
+    rc, out = run_cli(capsys, "bound", "--n", "134", "--d", "27", "--format", "csv")
+    assert rc == 0
+    assert out == "n,d,r_star,lambda,bound\n134,27,19,82.9595837,8955110969983951619733408\n"
+
+
+def test_verify_refuses_a_code_past_the_sweep_cap(tmp_path):
+    # a two-word code at n = 25 would need gigabytes; a child process bounds
+    # the time and memory if the guard regresses
+    path = tmp_path / "wide.txt"
+    write_code_file(Code(25, (0, 1)), path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cube_spectra.cli", "verify", "--code", str(path), "--r", "1"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and "exact sweep capped at n=24" in proc.stderr
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cube_spectra.cli", "lambda", "--n", "2", "--r", "1",

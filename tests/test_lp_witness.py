@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -204,6 +206,32 @@ def test_covered_fraction_cap(monkeypatch):
     monkeypatch.setenv("CUBE_SPECTRA_MAX_N", "3")
     with pytest.raises(ValueError, match="capped"):
         covered_fraction(Code(4, (0,)), 1)
+
+
+def test_single_code_checks_share_the_sweep_cap():
+    # both checks on both routes refuse n = 25 at once; past the cap they
+    # would allocate gigabytes, so a child process bounds time and memory
+    code = (
+        "import json, time\n"
+        "from cube_spectra import Code, SubsetGraph, check_covering, check_prop_ineq\n"
+        "c, out = Code(25, (0, 1)), []\n"
+        "for check in (check_covering, check_prop_ineq):\n"
+        "    for route in ((1,), (None, SubsetGraph(25, (0, 1)))):\n"
+        "        t = time.perf_counter()\n"
+        "        try:\n"
+        "            check(c, *route)\n"
+        "        except ValueError as exc:\n"
+        "            out.append([str(exc), time.perf_counter() - t])\n"
+        "print(json.dumps(out))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    results = json.loads(proc.stdout)
+    assert len(results) == 4
+    for message, seconds in results:
+        assert message == "exact sweep capped at n=24, got n=25" and seconds < 1.0
 
 
 @pytest.mark.filterwarnings("ignore::cube_spectra.SingletonDistanceWarning")

@@ -192,7 +192,9 @@ def weight_spectra(indicators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t(S)^2 and P[w], the ordered codeword pairs at distance w, is
     (K T)[w] / 2^n by MacWilliams, K the Krawtchouk matrix; P[0] = |C|.
     |K[w, s]| < 2^n and sum(T) = 2^n |C| <= 4^n keep K T below 2^(3n):
-    int64 through n = 20, Python integers above.
+    int64 through n = 20, Python integers above.  This transforms all 2^n
+    points of every code; for linear codes :func:`linear_weight_spectra`
+    gives the same arrays from n+1 weight counts.
     """
     n = indicators.shape[-1].bit_length() - 1
     t = _butterfly(indicators.astype(np.int64))
@@ -204,6 +206,22 @@ def weight_spectra(indicators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n > 20:
         sums, k = sums.astype(object), k.astype(object)
     return _exact_shift(sums @ k.T, n), sums
+
+
+def linear_weight_spectra(indicators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`weight_spectra` of a stack of linear-code indicators, from n+1 counts.
+
+    For a linear code C the pairs at distance w are |C| A_w, A the weight
+    distribution, and the transform of 1_C is |C| times the indicator of the
+    dual, so T[s] = |C|^2 A'_s = |C| (A K^T)[s] by MacWilliams.  A is one
+    float64 product against the weight one-hot, exact since its entries are
+    0/1 sums of at most 2^n.  The input must be linear; nothing checks it.
+    """
+    n = indicators.shape[-1].bit_length() - 1
+    onehot = hamming_weights(n)[:, None] == np.arange(n + 1)
+    a = (indicators @ onehot.astype(np.float64)).astype(np.int64)
+    size = a.sum(axis=-1, keepdims=True)
+    return size * a, size * (a @ krawtchouk(n).T)
 
 
 def first_positive_weight(sums: np.ndarray) -> np.ndarray:

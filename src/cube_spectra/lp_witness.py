@@ -27,15 +27,19 @@ and that of 1_C is t^2 / 4^n (t the integer transform).  For a Hamming ball
 the witness profile g makes fhat radial, fhat_w = 2^-n sum_i g_i K_i(w) (K
 the Krawtchouk matrix), so the sums run over the n+1 weights against the
 exact distance distribution P and the dual weight sums T, P = K T / 2^n by
-MacWilliams (:func:`weight_spectra`); phi's ratio is sum(P) / P_0:
+MacWilliams (:func:`weight_spectra`).  For a linear code the transform of
+1_C is |C| times the dual's indicator, so both follow from the n+1 weight
+counts A: P = |C| A and T = |C| A K^T (:func:`linear_weight_spectra`, the
+all-linear sweep's route).  phi's ratio is sum(P) / P_0:
 
     size:      mean(F) = sqrt(|C|/2^n) fhat_0,  mean(F^2) = 2^-n sum P_w fhat_w^2
     covering:  mean(F) = (|C|/2^n) fhat_0,      mean(F^2) = 4^-n sum T_w fhat_w^2
 
 All radii are one matrix product, a family runs in chunks of codes (the
 linear family spanned from arrays of echelon rows), and the covered-union
-counts are exact dilations of bit-packed indicators.  An explicit subset B
-runs the same sums over all 2^n points.
+counts are exact dilations of bit-packed indicators, which stop once every
+code of the chunk covers the cube.  An explicit subset B runs the same sums
+over all 2^n points.
 
 Reports never silently skip: an unmet premise is a verdict, and a violated
 inequality on valid inputs signals an implementation bug and is raised
@@ -70,6 +74,7 @@ from .codes import (
     dual_distance,
     enumerate_linear_codes,
     first_positive_weight,
+    linear_weight_spectra,
     min_distance,
     random_code,
     weight_spectra,
@@ -220,7 +225,8 @@ def _covered_counts(mask: np.ndarray, n: int, r_max: int) -> np.ndarray:
     The indicators are packed 64 points to a little-endian uint64 word, so
     flipping index bit i < 6 is a shift and mask inside every word and
     flipping bit i >= 6 swaps words.  Below n = 6 the one word is partial;
-    flips of bits below n never reach its zero padding.
+    flips of bits below n never reach its zero padding.  Once every row
+    covers the cube, the remaining radii are 2^n without further dilations.
     """
     packed = np.packbits(mask, axis=-1, bitorder="little")
     pad = [(0, 0)] * (mask.ndim - 1) + [(0, -packed.shape[-1] % 8)]
@@ -228,6 +234,9 @@ def _covered_counts(mask: np.ndarray, n: int, r_max: int) -> np.ndarray:
     split = words.shape[:-1] + (-1, 2)
     counts = [np.bitwise_count(words).sum(axis=-1, dtype=np.int64)]
     for _ in range(r_max):
+        if (counts[-1] == 1 << n).all():
+            counts += counts[-1:] * (r_max + 1 - len(counts))
+            break
         out = words.copy()
         for i, low in enumerate(_LOW_HALVES[:n]):
             out |= ((words & low) << (1 << i)) | ((words >> (1 << i)) & low)
@@ -297,9 +306,13 @@ def _moments(pairs, sq_transform, fhat):
     return ef, ef_sq, pairs.sum(axis=1) / pairs[:, 0]
 
 
-def _ball_moments(mask: np.ndarray, n: int, r_max: int):
-    """(d, ef, ef_sq, phi_ratio) at radii 0..r_max; d is (minimal, dual) distance."""
-    pairs, sums = weight_spectra(mask)
+def _ball_moments(mask: np.ndarray, n: int, r_max: int, spectra=None):
+    """(d, ef, ef_sq, phi_ratio) at radii 0..r_max; d is (minimal, dual) distance.
+
+    spectra maps the indicators to exact (P, T): :func:`weight_spectra` by
+    default, or :func:`linear_weight_spectra` when every code is linear.
+    """
+    pairs, sums = (spectra or weight_spectra)(mask)
     d = np.stack([first_positive_weight(pairs), first_positive_weight(sums)], axis=1)
     scale = float(1 << n)
     return d, *_moments(
@@ -457,19 +470,20 @@ def exhaustive_verify(
 ) -> dict:
     """Run both checks over a code family at every radius; abort on violation.
 
-    mode "all-linear" sweeps every linear code of length n (n <= 7, all
-    dimensions); mode "random-general" draws ``trials`` seeded greedy random
-    codes with random target distances (n <= 12).  Returns a summary of
-    verdict counts; any violation raises :class:`VerificationError` with a
-    reproduction dump of the first failing (code, radius, proposition).  The
-    family runs in chunks of codes in one thread, every radius at once;
+    mode "all-linear" sweeps every linear code of length n (n <= 8, all
+    dimensions), with spectra from weight counts by MacWilliams; mode
+    "random-general" draws ``trials`` seeded greedy random codes with random
+    target distances (n <= 12), with spectra from the transform.  Returns a
+    summary of verdict counts; any violation raises :class:`VerificationError`
+    with a reproduction dump of the first failing (code, radius, proposition).
+    The family runs in chunks of codes in one thread, every radius at once;
     ``threads`` is accepted and changes neither the work nor the summary.
     """
     step = max(1, _CHUNK_ENTRIES >> n)
     if mode == "all-linear":
-        if not 1 <= n <= 7:
-            raise ValueError(f"all-linear mode supports 1 <= n <= 7, got {n}")
-        chunks = _linear_chunks(n, step)
+        if not 1 <= n <= 8:
+            raise ValueError(f"all-linear mode supports 1 <= n <= 8, got {n}")
+        chunks, spectra = _linear_chunks(n, step), linear_weight_spectra
     elif mode == "random-general":
         if not 1 <= n <= 12:
             raise ValueError(f"random-general mode supports 1 <= n <= 12, got {n}")
@@ -485,6 +499,7 @@ def exhaustive_verify(
         )
         parts = iter(lambda: list(itertools.islice(family, step)), [])
         chunks = ((_indicators([c for c, _ in p], n), p.__getitem__) for p in parts)
+        spectra = weight_spectra
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -493,7 +508,7 @@ def exhaustive_verify(
     for mask, member in chunks:
         count += len(mask)
         sizes = np.count_nonzero(mask, axis=-1)[:, None]
-        moments = d, ef, ef_sq, phi_ratio = _ball_moments(mask, n, n)
+        moments = d, ef, ef_sq, phi_ratio = _ball_moments(mask, n, n, spectra)
         covered = _covered_counts(mask, n, n)
         premise = _premise_ok(n, d[:, None, :], lam[:, None], tol)  # (code, r, prop)
         failed = np.stack([premise[..., k] & ~reduce(np.logical_and, _inequalities(

@@ -9,6 +9,7 @@ import pytest
 from conftest import even_weight_code, hamming_7_4, naive_covered_counts
 from cube_spectra import (
     Code,
+    LinearCode,
     SubsetGraph,
     VerificationError,
     adjacency_apply,
@@ -30,7 +31,9 @@ from cube_spectra import (
     random_code,
     wht,
 )
+from cube_spectra.codes import _echelon_rows, linear_weight_spectra, weight_spectra
 from cube_spectra.lp_witness import (
+    _CHUNK_ENTRIES,
     PROP_COVERING,
     PROP_SIZE,
     VERDICT_HOLDS,
@@ -253,6 +256,45 @@ def test_covered_counts_match_the_nearest_codeword_oracle():
             assert row == naive_covered_counts(c.points, n), (n, c.points)
 
 
+def test_covered_counts_stop_once_every_row_covers_the_cube():
+    # rows fill at radii 0..4 < n, so the dilations stop after radius 4 and
+    # radii 5..7 are filled in; a singleton row (radius 7) runs them all
+    n = 7
+    codes = [Code(n, tuple(range(1 << n))), hamming_7_4(), LinearCode(n, (121, 2, 4)).expand(),
+             Code(n, (0, 127)), Code(n, (0, 31))]
+    want = [naive_covered_counts(c.points, n) for c in codes]
+    assert [row.index(1 << n) for row in want] == [0, 1, 2, 3, 4]
+    singleton = Code(n, (0,))
+    for stack in (codes, codes + [singleton], *([c] for c in codes)):
+        mask = _indicators(stack, n)
+        oracle = [naive_covered_counts(c.points, n) for c in stack]
+        for r_max in range(n + 1):
+            got = _covered_counts(mask, n, r_max)
+            assert got.dtype == np.int64
+            assert got.tolist() == [row[: r_max + 1] for row in oracle], (stack, r_max)
+
+
+def test_linear_weight_spectra_match_the_transform_on_every_chunk():
+    # n = 8 costs seconds through the butterfly: there only the first and
+    # last chunk of each dimension
+    for n in range(1, 9):
+        step = max(1, _CHUNK_ENTRIES >> n)
+        per_k = np.array([-(-len(_echelon_rows(n, k)) // step) for k in range(1, n + 1)])
+        ends = np.cumsum(per_k)
+        wanted = set((ends - 1).tolist()) | set((ends - per_k).tolist())
+        checked = codes = 0
+        for i, (mask, _) in enumerate(_linear_chunks(n, step)):
+            codes += len(mask)
+            if n == 8 and i not in wanted:
+                continue
+            for got, want in zip(linear_weight_spectra(mask), weight_spectra(mask)):
+                assert got.dtype == want.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+            checked += 1
+        assert checked == (len(wanted) if n == 8 else ends[-1])
+    assert codes == 417_198  # every nonzero subspace of F2^8: the n = 8 sweep's codes
+
+
 def test_linear_chunks_span_every_code_in_family_order():
     for n in range(1, 8):
         codes = [(lc.expand(), k)
@@ -361,6 +403,7 @@ def test_exhaustive_counts_match_public_checks():
         (5, "all-linear", 1000, 0, 2868, 1608),
         (6, "all-linear", 1000, 0, 25746, 13790),
         (7, "all-linear", 1000, 0, 301261, 166115),
+        (8, "all-linear", 1000, 0, 4432148, 3077416),
         (8, "random-general", 200, 1, 2441, 1159),
     ],
 )
@@ -446,7 +489,7 @@ def test_weight_space_moments_match_dense_oracle():
 
 def test_exhaustive_mode_validation():
     with pytest.raises(ValueError, match="all-linear mode"):
-        exhaustive_verify(8, "all-linear")
+        exhaustive_verify(9, "all-linear")
     with pytest.raises(ValueError, match="random-general mode"):
         exhaustive_verify(13, "random-general")
     with pytest.raises(ValueError, match="unknown mode"):

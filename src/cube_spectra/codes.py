@@ -208,20 +208,17 @@ def weight_spectra(indicators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _exact_shift(sums @ k.T, n), sums
 
 
-def linear_weight_spectra(indicators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`weight_spectra` of a stack of linear-code indicators, from n+1 counts.
+def linear_weight_spectra(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`weight_spectra` of a stack of linear codes, from their weight counts.
 
-    For a linear code C the pairs at distance w are |C| A_w, A the weight
-    distribution, and the transform of 1_C is |C| times the indicator of the
-    dual, so T[s] = |C|^2 A'_s = |C| (A K^T)[s] by MacWilliams.  A is one
-    float64 product against the weight one-hot, exact since its entries are
-    0/1 sums of at most 2^n.  The input must be linear; nothing checks it.
+    counts is int64 (codes, n+1): A_w, the number of codewords of weight w.
+    For a linear code C the pairs at distance w are |C| A_w, and the
+    transform of 1_C is |C| times the indicator of the dual, so
+    T[s] = |C|^2 A'_s = |C| (A K^T)[s] by MacWilliams.  The counts must come
+    from linear codes; nothing checks it.
     """
-    n = indicators.shape[-1].bit_length() - 1
-    onehot = hamming_weights(n)[:, None] == np.arange(n + 1)
-    a = (indicators @ onehot.astype(np.float64)).astype(np.int64)
-    size = a.sum(axis=-1, keepdims=True)
-    return size * a, size * (a @ krawtchouk(n).T)
+    size = counts.sum(axis=-1, keepdims=True)
+    return size * counts, size * (counts @ krawtchouk(counts.shape[-1] - 1).T)
 
 
 def first_positive_weight(sums: np.ndarray) -> np.ndarray:
@@ -272,7 +269,7 @@ def distance_distribution(c: Code) -> DistanceDistribution:
 
 
 def _echelon_rows(n: int, k: int) -> np.ndarray:
-    """(count, k) int64 echelon generator rows of every k-dim subspace of F2^n.
+    """(count, k) uint8 echelon generator rows of every k-dim subspace of F2^n.
 
     For each pivot set in combinations order, the free positions (non-pivot
     columns right of each pivot, row by row) take the bits of 0 .. 2^free - 1
@@ -288,7 +285,7 @@ def _echelon_rows(n: int, k: int) -> np.ndarray:
         rows = np.tile(np.left_shift(1, np.array(pivots, dtype=np.int64)), (len(bits), 1))
         for t, (j, col) in enumerate(slots):
             rows[:, j] |= ((bits >> t) & 1) << col
-        blocks.append(rows)
+        blocks.append(rows.astype(np.uint8))
     return np.concatenate(blocks)
 
 

@@ -154,6 +154,12 @@ def test_verify_usage_errors(capsys, even4):
     assert run_cli(capsys, "verify", "--code", even4)[0] == 2
 
 
+def test_verify_refuses_a_negative_trial_count(capsys):
+    assert main(["verify", "--n", "6", "--random", "-5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "trials must be >= 0" in err
+
+
 def test_wht_full_cube(capsys, tmp_path):
     path = tmp_path / "full2.txt"
     write_code_file(Code(2, (0, 1, 2, 3)), path)

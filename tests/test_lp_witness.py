@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,9 +32,10 @@ from cube_spectra import (
     random_code,
     wht,
 )
+from cube_spectra import lp_witness
 from cube_spectra.codes import _echelon_rows, linear_weight_spectra, weight_spectra
 from cube_spectra.lp_witness import (
-    _CHUNK_ENTRIES,
+    _LINEAR_CHUNK_ENTRIES,
     PROP_COVERING,
     PROP_SIZE,
     VERDICT_HOLDS,
@@ -278,16 +280,16 @@ def test_linear_weight_spectra_match_the_transform_on_every_chunk():
     # n = 8 costs seconds through the butterfly: there only the first and
     # last chunk of each dimension
     for n in range(1, 9):
-        step = max(1, _CHUNK_ENTRIES >> n)
+        step = max(1, _LINEAR_CHUNK_ENTRIES >> n)
         per_k = np.array([-(-len(_echelon_rows(n, k)) // step) for k in range(1, n + 1)])
         ends = np.cumsum(per_k)
         wanted = set((ends - 1).tolist()) | set((ends - per_k).tolist())
         checked = codes = 0
-        for i, (mask, _) in enumerate(_linear_chunks(n, step)):
+        for i, (mask, counts, _) in enumerate(_linear_chunks(n, step)):
             codes += len(mask)
             if n == 8 and i not in wanted:
                 continue
-            for got, want in zip(linear_weight_spectra(mask), weight_spectra(mask)):
+            for got, want in zip(linear_weight_spectra(counts), weight_spectra(mask)):
                 assert got.dtype == want.dtype == np.int64
                 np.testing.assert_array_equal(got, want)
             checked += 1
@@ -300,10 +302,10 @@ def test_linear_chunks_span_every_code_in_family_order():
         codes = [(lc.expand(), k)
                  for k in range(1, n + 1) for lc in enumerate_linear_codes(n, k)]
         chunks = list(_linear_chunks(n, 7))  # chunk boundaries inside each dimension
-        masks = np.concatenate([mask for mask, _ in chunks])
+        masks = np.concatenate([mask for mask, _, _ in chunks])
         np.testing.assert_array_equal(masks, _indicators([c for c, _ in codes], n))
         if n <= 4:
-            members = [member(i) for mask, member in chunks for i in range(len(mask))]
+            members = [member(i) for mask, _, member in chunks for i in range(len(mask))]
             assert members == [(c, {"mode": "all-linear", "k": k}) for c, k in codes]
 
 
@@ -494,6 +496,60 @@ def test_exhaustive_mode_validation():
         exhaustive_verify(13, "random-general")
     with pytest.raises(ValueError, match="unknown mode"):
         exhaustive_verify(4, "everything")
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        exhaustive_verify(6, "random-general", trials=-5)
+    assert exhaustive_verify(6, "random-general", trials=0)["codes"] == 0
+
+
+def first_violation(n, mode, **kwargs):
+    with pytest.raises(VerificationError) as info:
+        exhaustive_verify(n, mode, tol=-1e-6, **kwargs)
+    e = info.value
+    return e.code, e.context, e.report.r, e.report.proposition, str(e)
+
+
+def dump_to_12_digits(text):
+    def parse_float(s):
+        return float(f"{float(s):.12g}")
+    return json.loads(text.split("dump:\n", 1)[1], parse_float=parse_float)
+
+
+@pytest.mark.parametrize("n, mode, kwargs", [
+    (6, "all-linear", {}),
+    (7, "all-linear", {}),
+    (8, "random-general", {"trials": 150, "seed": 1}),
+])
+def test_results_do_not_depend_on_chunk_boundaries(monkeypatch, n, mode, kwargs):
+    summary = exhaustive_verify(n, mode, **kwargs)
+    violation = first_violation(n, mode, **kwargs)
+    for codes_per_chunk in (1, 7):
+        with monkeypatch.context() as m:
+            for name in ("_CHUNK_ENTRIES", "_LINEAR_CHUNK_ENTRIES"):
+                m.setattr(lp_witness, name, codes_per_chunk << n)
+            # one-code chunks cost 13 s over the 29,211 codes of n = 7
+            if (n, codes_per_chunk) != (7, 1):
+                assert exhaustive_verify(n, mode, **kwargs) == summary
+            got = first_violation(n, mode, **kwargs)
+            assert got[:4] == violation[:4]
+            if codes_per_chunk > 1:
+                assert got[4] == violation[4]
+            else:
+                # numpy multiplies a one-row matrix by gemv, not gemm, so the
+                # moments of a one-code chunk can differ in the last bit
+                assert dump_to_12_digits(got[4]) == dump_to_12_digits(violation[4])
+
+
+def test_all_linear_sweep_memory_stays_small():
+    # a sweep's peak shows in the benchmark's peak RSS: 1,024 codes per chunk
+    # at n = 7 trace about 1.3 MiB, twice as many about 2.5 MiB
+    exhaustive_verify(7, "all-linear")
+    tracemalloc.start()
+    try:
+        exhaustive_verify(7, "all-linear")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_verification_error_carries_reproduction_dump():

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bounds as bounds_mod
@@ -245,8 +246,10 @@ def _cmd_rate_table(args) -> int:
     if args.deltas is not None and args.step is not None:
         raise ValueError("pass either --deltas or --step, not both")
     if args.step is not None:
-        if args.step <= 0:
+        if not args.step > 0:
             raise ValueError("--step must be positive")
+        if 0.5 / args.step >= 10**6:  # also keeps x += step advancing
+            raise ValueError("--step gives more than 10^6 rows")
         deltas, x = [], 0.0
         while x < 0.5 + 1e-15:
             deltas.append(min(x, 0.5))
@@ -265,6 +268,8 @@ def _cmd_rate_table(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not math.isfinite(args.tol):
+            raise ValueError(f"--tol must be finite, got {args.tol}")
         return args.run(args)
     except lp_witness.VerificationError as exc:
         sys.stderr.write(str(exc) + "\n")

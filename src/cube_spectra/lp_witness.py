@@ -36,11 +36,11 @@ codewords).  phi's ratio is sum(P) / P_0:
     size:      mean(F) = sqrt(|C|/2^n) fhat_0,  mean(F^2) = 2^-n sum P_w fhat_w^2
     covering:  mean(F) = (|C|/2^n) fhat_0,      mean(F^2) = 4^-n sum T_w fhat_w^2
 
-All radii are one matrix product, a family runs in chunks of codes (the
-linear family spanned once per chunk from arrays of echelon rows into
-uint8 codewords, which give both its indicator rows and its weight
-counts), and the covered-union counts are exact dilations of bit-packed
-indicators, which stop once every code of the chunk covers the cube.  An
+All radii are one matrix product.  A family runs in chunks of codes (the
+linear family spanned per chunk from echelon rows into uint8 codewords,
+its indicators and weight counts), the float checks once per distinct
+weight profile, the covered-union counts per code as exact dilations of
+bit-packed indicators, stopped once every code covers the cube.  An
 explicit subset B runs the same sums over all 2^n points.
 
 Reports never silently skip: an unmet premise is a verdict, and a violated
@@ -206,8 +206,7 @@ def build_covering_witness(cprime: Code, w: BallEigenWitness) -> CubeFunction:
 
 def _indicators(codes, n: int) -> np.ndarray:
     """Boolean (len(codes), 2^n) stack of code indicators."""
-    cap = transform_dimension_cap()
-    if n > cap:
+    if n > (cap := transform_dimension_cap()):
         raise ValueError(f"dimension must be in [1, {cap}], got {n}")
     rows = np.repeat(np.arange(len(codes)), [c.size for c in codes])
     cols = np.fromiter(itertools.chain.from_iterable(c.points for c in codes), np.int64)
@@ -308,14 +307,13 @@ def _moments(pairs, sq_transform, fhat):
     return ef, ef_sq, pairs.sum(axis=1) / pairs[:, 0]
 
 
-def _ball_moments(mask: np.ndarray, n: int, r_max: int, spectra=None):
+def _ball_moments(spectra, n: int, r_max: int):
     """(d, ef, ef_sq, phi_ratio) at radii 0..r_max; d is (minimal, dual) distance.
 
-    spectra is the codes' exact (P, T), as :func:`linear_weight_spectra`
-    gives it for linear codes; None takes it from the indicators by
-    :func:`weight_spectra`.
+    spectra is the exact (P, T) of a stack of codes or weight profiles, as
+    :func:`weight_spectra` or :func:`linear_weight_spectra` gives it.
     """
-    pairs, sums = weight_spectra(mask) if spectra is None else spectra
+    pairs, sums = spectra
     d = np.stack([first_positive_weight(pairs), first_positive_weight(sums)], axis=1)
     scale = float(1 << n)
     return d, *_moments(
@@ -373,6 +371,8 @@ def _report(k: int, c: Code, i: int, j: int, r, moments, witnesses, covered, tol
 
 def _check(k: int, c: Code, r, subset, tol) -> PropositionReport:
     n = c.n
+    if not np.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     if (r is None) == (subset is None):
         raise ValueError("pass exactly one of a ball radius or an explicit subset")
     _check_sweep_cap(n)
@@ -381,7 +381,8 @@ def _check(k: int, c: Code, r, subset, tol) -> PropositionReport:
             raise ValueError(f"radius must be in [0, n], got {r}")
         mask = _indicators([c], n)
         covered = int(_covered_counts(mask, n, r)[0, r]) if k else None
-        moments, witnesses, j = _ball_moments(mask, n, r), _ball_table(n)[:3], r
+        moments = _ball_moments(weight_spectra(mask), n, r)
+        witnesses, j = _ball_table(n)[:3], r
     else:
         if subset.n != n:
             raise ValueError(f"dimension mismatch: code n={n}, subset n={subset.n}")
@@ -437,22 +438,24 @@ def check_covering(
 # Codes per chunk times 2^n: bounds the working set of one chunk's arrays.
 # The family is generated chunk by chunk, so memory does not grow with it.
 # A random-general chunk holds the int64 transform, 8 bytes a point; a linear
-# chunk holds no per-point array wider than a byte, so it takes twice the
-# codes.  Twice that again raises an n = 7 sweep's traced peak from 1.3 to
-# 2.5 MiB.
+# chunk holds no per-point array wider than a byte and its float checks run
+# on its distinct weight profiles only, so it takes four times the codes
+# (2,048 at n = 7, whose sweep traces about 1.5 MiB).
 _CHUNK_ENTRIES = 1 << 16
-_LINEAR_CHUNK_ENTRIES = 1 << 17
+_LINEAR_CHUNK_ENTRIES = 1 << 18
 
 
 def _linear_chunks(n: int, step: int):
-    """(indicators, weight counts, member) per chunk of the linear codes of length n.
+    """(indicators, profile spectra, profile of each code, member) per chunk.
 
-    Dimension by dimension, up to ``step`` echelon rows at a time are spanned
-    once into uint8 codewords (n <= 8).  The span gives both the indicator
-    rows and the int64 weight counts, shape (codes, n+1), as one bincount of
-    the codewords' popcounts offset by n+1 per code; member(i) rebuilds code
-    i of the chunk, with its context, by its position in
-    :func:`enumerate_linear_codes`.
+    Dimension by dimension, up to ``step`` echelon rows at a time of the
+    linear codes of length n are spanned once into uint8 codewords (n <= 8).
+    The span gives the indicator rows and the weight counts A, one bincount
+    of the codewords' popcounts offset by n+1 per code.  The distinct A, one
+    exact int64 key each (7 bits a weight: A_w <= C(8, 4) < 2^7), are the
+    chunk's profiles, with spectra by :func:`linear_weight_spectra`; inv maps
+    codes to profiles, and member(i) rebuilds code i with its context by its
+    position in :func:`enumerate_linear_codes`.
     """
     for k in range(1, n + 1):
         rows = _echelon_rows(n, k)
@@ -466,12 +469,31 @@ def _linear_chunks(n: int, step: int):
             offsets = np.arange(0, len(part) * (n + 1), n + 1)[:, None]
             counts = np.bincount((np.bitwise_count(span) + offsets).ravel(),
                                  minlength=len(part) * (n + 1)).reshape(-1, n + 1)
-            yield mask, counts, partial(_linear_member, n, k, start)
+            _, first, inv = np.unique(counts @ (1 << 7 * np.arange(n + 1)),
+                                      return_index=True, return_inverse=True)
+            spectra = linear_weight_spectra(counts[first])
+            yield mask, spectra, inv, partial(_linear_member, n, k, start)
 
 
 def _linear_member(n: int, k: int, start: int, i: int):
     lc = next(itertools.islice(enumerate_linear_codes(n, k), start + i, None))
     return lc.expand(), {"mode": "all-linear", "k": k}
+
+
+def _random_chunks(n: int, contexts, step: int):
+    """(indicators, spectra, profile of each code, member) per chunk of random codes.
+
+    Each code is its own profile; member(i) draws code i again from its
+    context, so a chunk keeps no codes.
+    """
+    for part in iter(lambda: list(itertools.islice(contexts, step)), []):
+        member = partial(_random_member, n, part)
+        mask = _indicators([member(i)[0] for i in range(len(part))], n)
+        yield mask, weight_spectra(mask), np.arange(len(mask)), member
+
+
+def _random_member(n: int, contexts: list, i: int):
+    return random_code(n, contexts[i]["min_d"], contexts[i]["code_seed"]), contexts[i]
 
 
 def exhaustive_verify(
@@ -488,12 +510,15 @@ def exhaustive_verify(
     dimensions), with spectra by MacWilliams from weight counts taken off
     each chunk's span; mode "random-general" draws ``trials`` >= 0 seeded
     greedy random codes with random target distances (n <= 12), with
-    spectra from the transform.  Returns a summary of verdict counts; any
-    violation raises :class:`VerificationError` with a reproduction dump of
-    the first failing (code, radius, proposition).
-    The family runs in chunks of codes in one thread, every radius at once;
-    ``threads`` is accepted and changes neither the work nor the summary.
+    spectra from the transform.  Chunk by chunk in one thread, the float
+    checks run once per distinct weight profile at every radius, the exact
+    covering headline once per code; ``threads`` changes neither the work
+    nor the summary.  Returns the verdict counts; the first failing (code,
+    radius, proposition) raises :class:`VerificationError` with a
+    reproduction dump.  ``tol`` must be finite.
     """
+    if not np.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     if mode == "all-linear":
         if not 1 <= n <= 8:
             raise ValueError(f"all-linear mode supports 1 <= n <= 8, got {n}")
@@ -504,42 +529,32 @@ def exhaustive_verify(
         if trials < 0:
             raise ValueError(f"trials must be >= 0, got {trials}")
         rng = np.random.default_rng(seed)
-        draws = (
-            (t, int(rng.integers(1, n + 1)), int(rng.integers(0, 2**63)))
-            for t in range(trials)
-        )
-        family = (
-            (random_code(n, min_d, sub_seed),
-             {"mode": mode, "trial": t, "min_d": min_d, "code_seed": sub_seed})
-            for t, min_d, sub_seed in draws
-        )
-        step = max(1, _CHUNK_ENTRIES >> n)
-        parts = iter(lambda: list(itertools.islice(family, step)), [])
-        chunks = ((_indicators([c for c, _ in p], n), None, p.__getitem__) for p in parts)
+        contexts = ({"mode": mode, "trial": t, "min_d": int(rng.integers(1, n + 1)),
+                     "code_seed": int(rng.integers(0, 2**63))} for t in range(trials))
+        chunks = _random_chunks(n, contexts, max(1, _CHUNK_ENTRIES >> n))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     witnesses = lam, ess_f, b_size = _ball_table(n)[:3]
-    count = holds = unmet = 0
-    for mask, weight_counts, member in chunks:
+    count = holds = 0
+    for mask, spectra, inv, member in chunks:
         count += len(mask)
-        moments = d, ef, ef_sq, phi_ratio = _ball_moments(
-            mask, n, n, None if weight_counts is None else linear_weight_spectra(weight_counts)
-        )
+        moments = d, ef, ef_sq, phi_ratio = _ball_moments(spectra, n, n)
         covered = _covered_counts(mask, n, n)
-        sizes = covered[:, :1]  # radius 0 covers the code itself
-        premise = _premise_ok(n, d[:, None, :], lam[:, None], tol)  # (code, r, prop)
-        failed = np.stack([premise[..., k] & ~reduce(np.logical_and, _inequalities(
-            prop, n, sizes, b_size, ess_f, ef[..., k], ef_sq[..., k],
-            phi_ratio[:, None], covered, tol,
-        ).values()) for k, prop in enumerate((PROP_SIZE, PROP_COVERING))], axis=-1)
+        premise = _premise_ok(n, d[:, None, :], lam[:, None], tol)  # (profile, r, prop)
+        ok = []  # sizes are P_0 = |C|; the exact covering headline is by code
+        for k, prop in enumerate((PROP_SIZE, PROP_COVERING)):
+            checks = _inequalities(prop, n, spectra[0][:, :1], b_size, ess_f, ef[..., k],
+                                   ef_sq[..., k], phi_ratio[:, None], covered, tol)
+            exact = checks.pop("headline_covering_bound", True)
+            ok.append(reduce(np.logical_and, checks.values())[inv] & exact)
+        failed = premise[inv] & ~np.stack(ok, axis=-1)  # (code, r, prop)
         if failed.any():
             i, r, k = (int(x) for x in np.unravel_index(failed.argmax(), failed.shape))
             code, context = member(i)
-            rep = _report(k, code, i, r, r, moments, witnesses, int(covered[i, r]), tol)
+            rep = _report(k, code, inv[i], r, r, moments, witnesses, int(covered[i, r]), tol)
             raise VerificationError(rep, code, {"seed": seed, **context})
-        holds += int(premise.sum())
-        unmet += int(premise.size - premise.sum())
+        holds += int(np.bincount(inv) @ premise.sum(axis=(1, 2)))
 
     return {
         "mode": mode,
@@ -548,6 +563,6 @@ def exhaustive_verify(
         "trials": trials if mode == "random-general" else None,
         "codes": count,
         "holds": holds,
-        "premise_unmet": unmet,
+        "premise_unmet": 2 * (n + 1) * count - holds,
         "violations": 0,
     }

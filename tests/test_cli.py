@@ -220,6 +220,35 @@ def test_rate_table_step(capsys):
     assert [r[0] for r in rows] == [0.0, 0.25, 0.5]
 
 
+@pytest.mark.parametrize("step", ["nan", "0", "-0.1", "5e-7", "1e-17"])
+def test_rate_table_rejects_a_step_without_a_finite_grid(step):
+    # 1e-17 is below half an ulp of 0.5: x += step stops advancing and the
+    # grid list grows without end; a child process bounds time and memory
+    proc = subprocess.run(
+        [sys.executable, "-m", "cube_spectra.cli", "rate-table", "--step", step],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert "--step" in proc.stderr
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["lambda", "--n", "3", "--r", "1", "--exact"],
+    ["bound", "--n", "7", "--d", "3"],
+    ["verify", "--n", "3", "--all-linear"],
+    ["verify", "--code", "@rep4", "--r", "1"],
+    ["wht", "--code", "@rep4"],
+    ["cover", "--code", "@rep4", "--r", "1"],
+    ["rate-table", "--step", "0.25"],
+])
+def test_non_finite_tol_exits_2(capsys, rep4, argv, tol):
+    argv = [rep4 if a == "@rep4" else a for a in argv]
+    rc = main([*argv, f"--tol={tol}"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and "--tol must be finite" in err
+
+
 def test_rate_table_domain_error(capsys):
     assert run_cli(capsys, "rate-table", "--deltas", "0.9")[0] == 2
 

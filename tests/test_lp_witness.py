@@ -285,11 +285,15 @@ def test_linear_weight_spectra_match_the_transform_on_every_chunk():
         ends = np.cumsum(per_k)
         wanted = set((ends - 1).tolist()) | set((ends - per_k).tolist())
         checked = codes = 0
-        for i, (mask, counts, _) in enumerate(_linear_chunks(n, step)):
+        for i, (mask, (pairs, sums), inv, _) in enumerate(_linear_chunks(n, step)):
             codes += len(mask)
+            # one row per distinct weight profile: A = P / |C|, |C| = P_0
+            profiles = pairs // pairs[:, :1]
+            assert len(np.unique(profiles, axis=0)) == len(profiles) == inv.max() + 1
+            np.testing.assert_array_equal(linear_weight_spectra(profiles), (pairs, sums))
             if n == 8 and i not in wanted:
                 continue
-            for got, want in zip(linear_weight_spectra(counts), weight_spectra(mask)):
+            for got, want in zip((pairs[inv], sums[inv]), weight_spectra(mask)):
                 assert got.dtype == want.dtype == np.int64
                 np.testing.assert_array_equal(got, want)
             checked += 1
@@ -302,11 +306,17 @@ def test_linear_chunks_span_every_code_in_family_order():
         codes = [(lc.expand(), k)
                  for k in range(1, n + 1) for lc in enumerate_linear_codes(n, k)]
         chunks = list(_linear_chunks(n, 7))  # chunk boundaries inside each dimension
-        masks = np.concatenate([mask for mask, _, _ in chunks])
+        masks = np.concatenate([mask for mask, *_ in chunks])
         np.testing.assert_array_equal(masks, _indicators([c for c, _ in codes], n))
         if n <= 4:
-            members = [member(i) for mask, _, member in chunks for i in range(len(mask))]
+            members = [member(i) for mask, *_, member in chunks for i in range(len(mask))]
             assert members == [(c, {"mode": "all-linear", "k": k}) for c, k in codes]
+
+
+def test_weight_counts_fit_the_seven_bit_profile_key():
+    # _linear_chunks packs A_w <= C(n, w) into 7 bits a weight, n <= 8
+    assert max(math.comb(n, w) for n in range(1, 9) for w in range(n + 1)) < 1 << 7
+    assert 7 * 8 + 7 <= 63  # the n = 8 key's top field stays below the sign bit
 
 
 def test_witness_convolution_eigen_inequality():
@@ -472,7 +482,7 @@ def test_weight_space_moments_match_dense_oracle():
 
     checked = 0
     for n, codes in by_n.items():
-        d, ef, ef_sq, phi_ratio = _ball_moments(_indicators(codes, n), n, n)
+        d, ef, ef_sq, phi_ratio = _ball_moments(weight_spectra(_indicators(codes, n)), n, n)
         ess_f = _ball_table(n)[1]
         witnesses = [lambda_for_radius_recurrence(n, r) for r in range(n + 1)]
         for i, c in enumerate(codes):
@@ -499,6 +509,18 @@ def test_exhaustive_mode_validation():
     with pytest.raises(ValueError, match="trials must be >= 0"):
         exhaustive_verify(6, "random-general", trials=-5)
     assert exhaustive_verify(6, "random-general", trials=0)["codes"] == 0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_non_finite_tolerance_is_rejected(tol):
+    # nan fails every comparison (all premises unmet), inf passes or fails all
+    for mode, kwargs in (("all-linear", {}), ("random-general", {"trials": 0})):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            exhaustive_verify(3, mode, tol=tol, **kwargs)
+    c = Code(3, (0, 7))
+    for check in (check_prop_ineq, check_covering):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            check(c, 1, tol=tol)
 
 
 def first_violation(n, mode, **kwargs):
@@ -540,8 +562,8 @@ def test_results_do_not_depend_on_chunk_boundaries(monkeypatch, n, mode, kwargs)
 
 
 def test_all_linear_sweep_memory_stays_small():
-    # a sweep's peak shows in the benchmark's peak RSS: 1,024 codes per chunk
-    # at n = 7 trace about 1.3 MiB, twice as many about 2.5 MiB
+    # a sweep's peak shows in the benchmark's peak RSS: 2,048 codes per chunk
+    # at n = 7, checked once per distinct weight profile, trace about 1.5 MiB
     exhaustive_verify(7, "all-linear")
     tracemalloc.start()
     try:

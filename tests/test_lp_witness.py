@@ -314,9 +314,13 @@ def test_linear_chunks_span_every_code_in_family_order():
 
 
 def test_weight_counts_fit_the_seven_bit_profile_key():
-    # _linear_chunks packs A_w <= C(n, w) into 7 bits a weight, n <= 8
-    assert max(math.comb(n, w) for n in range(1, 9) for w in range(n + 1)) < 1 << 7
-    assert 7 * 8 + 7 <= 63  # the n = 8 key's top field stays below the sign bit
+    # _linear_chunks packs A_w <= C(n, w) into 7 bits a weight, n <= 8; the
+    # largest counts must give the exact key, with no int64 overflow
+    for n in range(1, 9):
+        top = [math.comb(n, w) for w in range(n + 1)]
+        assert max(top) < 1 << 7
+        key = np.array(top) @ (1 << 7 * np.arange(n + 1))
+        assert key == sum(a << 7 * w for w, a in enumerate(top))
 
 
 def test_witness_convolution_eigen_inequality():

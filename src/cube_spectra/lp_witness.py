@@ -7,19 +7,17 @@ with either the code indicator (covering check) or the square-root-spectrum
 function phi of the code (size check).  Comparing <AF, F> computed through
 the eigenvalue inequality and through the transform forces
 
-    mean(F^2) <= n * mean(F)^2,
+    (lambda - n + 2d) mean(F^2) <= 2d mean(F)^2,
 
-which turns into "the shifted copies of B cover a 1/n fraction" for the
-covering check and into |C| <= n |B| for the size check.
+since every weight |S| >= d on the spectral support of F has n - 2|S| <=
+n - 2d, whatever the sign; so it holds for every d, d > n/2 included.  The
+premise makes the left factor at least 1, so with m = max(n, 2d)
 
-The comparison of the two <AF, F> estimates is only valid when n - 2d >= 0
-(the low-weight spectrum cutoff must carry a nonnegative coefficient), and
-for d > n/2 the raw inequality genuinely fails: the even-weight code in
-{0,1}^3 with B a single point satisfies lambda_B = 0 = n - 2d + 1 yet has
-mean(F^2) > n mean(F)^2 and size 4 > n |B| = 3.  Since a code of distance d
-also has distance min(d, floor(n/2)), the checks run the premise against
-that effective distance: every d <= n/2 case is untouched, and the d > n/2
-pairings are classified premise-unmet instead of asserting a false claim.
+    mean(F^2) <= m * mean(F)^2,
+
+which turns into "the shifted copies of B cover a 1/m fraction" for the
+covering check and into |C| <= m |B| for the size check.  In the paper's
+domain 2d <= n, m = n.
 
 The moments come from transforms: F's transform is the product of its
 factors', phi's squared transform is the pair-count function of C over 2^n
@@ -48,7 +46,7 @@ inequality on valid inputs signals an implementation bug and is raised
 loudly by the exhaustive driver.
 
 Report JSON keys: ``ef2`` is the squared mean of F and ``ef_sq`` the second
-moment, so the main inequality reads ef_sq <= n * ef2.
+moment, so the main inequality reads ef_sq <= m * ef2, m = max(n, 2d).
 """
 
 from __future__ import annotations
@@ -164,18 +162,8 @@ class PropositionReport:
         }
 
 
-def effective_distance(n: int, d):
-    """Largest distance the inequality chain certifies for a distance-d code.
-
-    The spectrum-cutoff comparison needs n - 2d >= 0; distances are monotone
-    (distance d implies distance d'), so clamping to floor(n/2) loses no
-    sound case and blocks the d > n/2 counterexamples.  Works elementwise.
-    """
-    return np.minimum(d, n // 2)
-
-
 def _premise_ok(n: int, d, lam, tol: float):
-    return lam >= n - 2 * effective_distance(n, d) + 1 - tol
+    return lam >= n - 2 * d + 1 - tol
 
 
 # --- witness construction ------------------------------------------------------
@@ -300,10 +288,13 @@ def _moments(pairs, sq_transform, fhat):
     Rows of pairs (pair counts / 2^n) and sq_transform (squared transform of
     1_C), per point or per weight, are codes; rows of fhat are witnesses.
     ef and ef_sq are (codes, witnesses, 2) arrays: size, then covering.
+    einsum sums every row the same way whatever the row count (a matrix
+    product takes a matrix-vector path for one row), so no result depends
+    on where a chunk starts or ends.
     """
     f2, frac = (fhat * fhat).T, pairs[:, :1]
     ef = np.stack([np.sqrt(frac) * fhat[:, 0], frac * fhat[:, 0]], axis=-1)
-    ef_sq = np.stack([pairs @ f2, sq_transform @ f2], axis=-1)
+    ef_sq = np.stack([np.einsum("cw,wr->cr", a, f2) for a in (pairs, sq_transform)], axis=-1)
     return ef, ef_sq, pairs.sum(axis=1) / pairs[:, 0]
 
 
@@ -322,19 +313,21 @@ def _ball_moments(spectra, n: int, r_max: int):
     )
 
 
-def _inequalities(prop, n, size, b_size, ess_f, ef, ef_sq, phi_ratio, covered, tol):
+def _inequalities(prop, n, m, size, b_size, ess_f, ef, ef_sq, phi_ratio, covered, tol):
     """Each inequality of one proposition by name, True where it holds.
 
-    Works on scalars and on broadcastable arrays alike.
+    m = max(n, 2d) is the chain's factor.  Works on scalars and on
+    broadcastable arrays alike; a covered of None leaves out the covering
+    headline.
     """
-    holds = {"second_moment_vs_mean": ef_sq <= n * (ef * ef) + tol}
+    holds = {"second_moment_vs_mean": ef_sq <= m * (ef * ef) + tol}
     if prop == PROP_SIZE:
         holds["support_vs_essential_support"] = b_size >= ess_f - tol
-        holds["essential_support_vs_phi_ratio"] = ess_f >= phi_ratio / n - tol
+        holds["essential_support_vs_phi_ratio"] = ess_f >= phi_ratio / m - tol
         holds["phi_ratio_vs_code_size"] = abs(phi_ratio - size) <= tol
-        holds["headline_size_bound"] = size <= n * b_size
-    else:  # exact integer comparison
-        holds["headline_covering_bound"] = covered * n >= (1 << n)
+        holds["headline_size_bound"] = size <= m * b_size
+    elif covered is not None:  # exact integer comparison
+        holds["headline_covering_bound"] = covered * m >= (1 << n)
     return holds
 
 
@@ -348,9 +341,9 @@ def _report(k: int, c: Code, i: int, j: int, r, moments, witnesses, covered, tol
     (d, ef, ef_sq, phi_ratio), (lam, ess_f, b_size) = moments, witnesses
     d, lam, ess_f, b_size = int(d[i, k]), float(lam[j]), float(ess_f[j]), int(b_size[j])
     ef, ef_sq, phi_ratio = float(ef[i, j, k]), float(ef_sq[i, j, k]), float(phi_ratio[i])
-    premise_ok = bool(_premise_ok(n, d, lam, tol))
+    premise_ok, m = bool(_premise_ok(n, d, lam, tol)), max(n, 2 * d)
     holds = _inequalities(
-        prop, n, c.size, b_size, ess_f, ef, ef_sq, phi_ratio, covered, tol
+        prop, n, m, c.size, b_size, ess_f, ef, ef_sq, phi_ratio, covered, tol
     )
     failures = tuple(name for name, ok in holds.items() if premise_ok and not ok)
     if not premise_ok:
@@ -362,7 +355,7 @@ def _report(k: int, c: Code, i: int, j: int, r, moments, witnesses, covered, tol
         phi_ratio=phi_ratio if size_prop else None,
         covered=None if size_prop else covered,
         bound_lhs=c.size if size_prop else covered,
-        bound_rhs=n * b_size if size_prop else (1 << n) / n,
+        bound_rhs=m * b_size if size_prop else (1 << n) / m,
         verdict=VERDICT_PREMISE_UNMET if not premise_ok
         else VERDICT_VIOLATED if failures else VERDICT_HOLDS,
         failures=failures,
@@ -406,13 +399,11 @@ def check_prop_ineq(
     subset: Optional[SubsetGraph] = None,
     tol: float = DEFAULT_TOL,
 ) -> PropositionReport:
-    """Check |C| <= n |B| and the full inequality chain that proves it.
+    """Check |C| <= m |B|, m = max(n, 2d), and the inequality chain behind it.
 
     B is a Hamming ball (by radius) or an explicit subset; the premise is
     that its top induced eigenvalue reaches n - 2d + 1, with d the minimal
-    distance of the code clamped to the certified domain (see
-    :func:`effective_distance`).  An unmet premise is a verdict, not an
-    error.
+    distance of the code.  An unmet premise is a verdict, not an error.
     """
     return _check(0, c, ball_r, subset, tol)
 
@@ -423,12 +414,12 @@ def check_covering(
     subset: Optional[SubsetGraph] = None,
     tol: float = DEFAULT_TOL,
 ) -> PropositionReport:
-    """Check that shifted copies of B around the code cover a 1/n fraction.
+    """Check that shifted copies of B around the code cover a 1/m fraction.
 
-    d is the dual distance of the code (clamped like in
-    :func:`check_prop_ineq`).  The covered-union cardinality is computed
-    exactly and compared exactly; only the moment inequality uses the
-    floating tolerance.
+    The premise is that of :func:`check_prop_ineq` with d the dual distance
+    of the code, and m = max(n, 2d).  The covered-union cardinality is
+    computed exactly and compared exactly; only the moment inequality uses
+    the floating tolerance.
     """
     return _check(1, c, r, subset, tol)
 
@@ -542,12 +533,13 @@ def exhaustive_verify(
         moments = d, ef, ef_sq, phi_ratio = _ball_moments(spectra, n, n)
         covered = _covered_counts(mask, n, n)
         premise = _premise_ok(n, d[:, None, :], lam[:, None], tol)  # (profile, r, prop)
-        ok = []  # sizes are P_0 = |C|; the exact covering headline is by code
+        m = np.maximum(n, 2 * d)  # (profile, prop)
+        ok = []  # sizes are P_0 = |C|
         for k, prop in enumerate((PROP_SIZE, PROP_COVERING)):
-            checks = _inequalities(prop, n, spectra[0][:, :1], b_size, ess_f, ef[..., k],
-                                   ef_sq[..., k], phi_ratio[:, None], covered, tol)
-            exact = checks.pop("headline_covering_bound", True)
-            ok.append(reduce(np.logical_and, checks.values())[inv] & exact)
+            checks = _inequalities(prop, n, m[:, k, None], spectra[0][:, :1], b_size, ess_f,
+                                   ef[..., k], ef_sq[..., k], phi_ratio[:, None], None, tol)
+            ok.append(reduce(np.logical_and, checks.values())[inv])
+        ok[1] &= covered * m[inv, 1, None] >= 1 << n  # the exact covering headline, by code
         failed = premise[inv] & ~np.stack(ok, axis=-1)  # (code, r, prop)
         if failed.any():
             i, r, k = (int(x) for x in np.unravel_index(failed.argmax(), failed.shape))

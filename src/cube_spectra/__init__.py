@@ -24,11 +24,9 @@ from .bounds import (
 from .codes import (
     Code,
     CodeFileError,
-    DistanceDistribution,
     LinearCode,
     SingletonDistanceWarning,
     autocorrelation,
-    distance_distribution,
     dual_code,
     dual_distance,
     enumerate_linear_codes,

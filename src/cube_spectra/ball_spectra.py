@@ -27,7 +27,6 @@ import numpy as np
 
 from .cube_fourier import CubeFunction, hamming_weights
 
-_RECURRENCE_OVERFLOW = 1e280
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 200_000
 
@@ -128,8 +127,6 @@ def hamming_ball(n: int, r: int) -> SubsetGraph:
     """All points of weight at most r, as a SubsetGraph."""
     if not 0 <= r <= n:
         raise ValueError(f"radius must be in [0, n], got r={r} n={n}")
-    if n == 0:
-        return SubsetGraph(0, (0,))
     w = hamming_weights(n)
     return SubsetGraph(n, tuple(int(x) for x in np.nonzero(w <= r)[0]))
 
@@ -182,21 +179,20 @@ def lambda_ball_exact(n: int, r: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _recurrence(n: int, lam: float) -> tuple[list, int]:
+def _recurrence(n: int, lam: float, last: int) -> tuple[list, int]:
     """Extended-precision g(0), g(1), ... up to the first index where g <= 0.
 
-    Returns the values and that index, or n+1 if g stays positive through
-    weight n.  The forward recurrence is numerically unstable once lam sits
-    near a truncation eigenvalue, hence the extended precision; if
-    magnitudes overflow the loop stops and the tail counts as
-    sign-change-free (the values end there).
+    Stops at weight last at the latest.  Returns the values and that index,
+    or n+1 if g stays positive through weight min(last, n).  The forward
+    recurrence is numerically unstable once lam sits near a truncation
+    eigenvalue, hence the extended precision.  For 0 <= lam <= n it cannot
+    overflow: (n-i) g(i+1) = lam g(i) - i g(i-1) <= (n-i) g(i) while g is
+    positive, so every value is at most g(0) = 1.
     """
     lam_x = np.longdouble(lam)
     g = [np.longdouble(1.0)]
-    for i in range(n):
+    for i in range(min(n, last)):
         nxt = (lam_x * g[i] - i * g[i - 1]) / (n - i)
-        if abs(nxt) > _RECURRENCE_OVERFLOW:
-            break
         g.append(nxt)
         if nxt <= 0:
             return g, i + 1
@@ -213,7 +209,7 @@ def eigen_recurrence(n: int, lam: float) -> tuple[SymmetricProfile, int]:
         raise ValueError("dimension must be at least 1")
     if not 0.0 <= lam <= n:
         raise ValueError(f"rate must lie in [0, n], got {lam}")
-    g, first_nonpos = _recurrence(n, lam)
+    g, first_nonpos = _recurrence(n, lam, n)
     return SymmetricProfile(n, tuple(float(v) for v in g)), first_nonpos
 
 
@@ -223,17 +219,19 @@ def lambda_for_radius_recurrence(n: int, r: int) -> BallEigenWitness:
     The predicate "first nonpositive index <= r+1" is monotone in lam (the
     sign change moves outward as lam grows), so bisection on [0, n] converges
     to the top eigenvalue of the radius-r truncation (width 1e-12, or adjacent
-    floats above 2^13).  The witness is one recurrence run at the feasible
-    end: its lam is a lower bound, and it keeps that run's positive head g(0..p).
+    floats above 2^13).  Each probe stops at weight r+1, since computing
+    further never changes its verdict.  The witness is one recurrence run at
+    the feasible end: its lam is a lower bound, and it keeps that run's
+    positive head g(0..p).
     """
     if not 0 <= r <= n:
         raise ValueError(f"radius must be in [0, n], got r={r} n={n}")
 
     def feasible(lam: float) -> bool:
-        return _recurrence(n, lam)[1] <= r + 1
+        return _recurrence(n, lam, r + 1)[1] <= r + 1
 
     lo = float(n) if feasible(float(n)) else _bisect(0.0, float(n), 1e-12, feasible)[0]
-    g, first_nonpos = _recurrence(n, lo)
+    g, first_nonpos = _recurrence(n, lo, r + 1)
     head = SymmetricProfile(n, g[:first_nonpos])
     return BallEigenWitness(n=n, r=r, lam=lo, profile=head, p=first_nonpos - 1)
 
@@ -248,9 +246,6 @@ def _induced_edges(b: SubsetGraph) -> tuple[np.ndarray, np.ndarray]:
         ok = members[pos] == nb
         src.append(np.nonzero(ok)[0])
         dst.append(pos[ok])
-    if not src:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
     return np.concatenate(src), np.concatenate(dst)
 
 

@@ -22,6 +22,7 @@ from .cube_fourier import (
     hamming_weights,
     int_wht,
     krawtchouk,
+    transform_dimension_cap,
 )
 
 
@@ -62,6 +63,8 @@ class Code:
         return CubeFunction(self.n, self.int_indicator().values)
 
     def int_indicator(self) -> IntCubeFunction:
+        if self.n > (cap := transform_dimension_cap()):  # before allocating 2^n
+            raise ValueError(f"dimension must be in [1, {cap}], got {self.n}")
         vals = np.zeros(1 << self.n, dtype=np.int64)
         vals[list(self.points)] = 1
         return IntCubeFunction(self.n, vals)
@@ -129,19 +132,6 @@ def _rref(rows) -> tuple[int, ...]:
                 by_pivot[q] = other ^ cur
         by_pivot[p] = cur
     return tuple(by_pivot[p] for p in sorted(by_pivot))
-
-
-@dataclass(frozen=True)
-class DistanceDistribution:
-    """counts[w] = (number of ordered codeword pairs at distance w) / |C|."""
-
-    n: int
-    counts: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.counts) != self.n + 1:
-            raise ValueError("need one count per weight 0..n")
-        object.__setattr__(self, "counts", tuple(float(c) for c in self.counts))
 
 
 def min_distance(c: Code) -> int:
@@ -261,11 +251,6 @@ def dual_code(c: LinearCode) -> LinearCode:
     if c.dim + dual.dim != c.n:
         raise ArithmeticError(f"dual has dimension {dual.dim}, not {c.n - c.dim}")
     return dual
-
-
-def distance_distribution(c: Code) -> DistanceDistribution:
-    pairs, _ = weight_spectra(c.int_indicator().values)
-    return DistanceDistribution(c.n, tuple(pairs / c.size))
 
 
 def _echelon_rows(n: int, k: int) -> np.ndarray:

@@ -204,45 +204,3 @@ def essential_support_size(f: CubeFunction) -> float:
         raise ValueError("essential support size of the zero function is undefined")
     return float(1 << f.n) * mean * mean / second
 
-
-# --- serialization -----------------------------------------------------------
-
-def format_function_lines(f: CubeFunction) -> str:
-    """Text form: one "index value" pair per line, indices ascending."""
-    return "".join(f"{i} {v!r}\n" for i, v in enumerate(f.values.tolist()))
-
-
-def parse_function_lines(text: str) -> CubeFunction:
-    pairs = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'index value', got {raw!r}")
-        idx, val = int(parts[0]), float(parts[1])
-        if idx in pairs:
-            raise ValueError(f"line {lineno}: duplicate index {idx}")
-        pairs[idx] = val
-    m = len(pairs)
-    if m == 0 or m & (m - 1):
-        raise ValueError(f"need a power-of-two number of entries, got {m}")
-    n = m.bit_length() - 1
-    if sorted(pairs) != list(range(m)):
-        raise ValueError("indices must cover 0..2^n-1 exactly once")
-    return CubeFunction(n, [pairs[i] for i in range(m)])
-
-
-def write_function_binary(f: CubeFunction, path) -> None:
-    """Flat binary form: 2^n little-endian float64 values, nothing else."""
-    with open(path, "wb") as fh:
-        fh.write(f.values.astype("<f8").tobytes())
-
-
-def read_function_binary(path) -> CubeFunction:
-    data = np.fromfile(path, dtype="<f8")
-    m = data.shape[0]
-    if m == 0 or m & (m - 1):
-        raise ValueError(f"binary function file must hold 2^n values, got {m}")
-    return CubeFunction(m.bit_length() - 1, data)

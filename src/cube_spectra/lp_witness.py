@@ -87,7 +87,6 @@ from .cube_fourier import (
     inverse_wht,
     krawtchouk,
     sweep_dimension_cap,
-    transform_dimension_cap,
     wht,
 )
 
@@ -194,8 +193,6 @@ def build_covering_witness(cprime: Code, w: BallEigenWitness) -> CubeFunction:
 
 def _indicators(codes, n: int) -> np.ndarray:
     """Boolean (len(codes), 2^n) stack of code indicators."""
-    if n > (cap := transform_dimension_cap()):
-        raise ValueError(f"dimension must be in [1, {cap}], got {n}")
     rows = np.repeat(np.arange(len(codes)), [c.size for c in codes])
     cols = np.fromiter(itertools.chain.from_iterable(c.points for c in codes), np.int64)
     mask = np.zeros((len(codes), 1 << n), dtype=bool)
@@ -331,16 +328,45 @@ def _inequalities(prop, n, m, size, b_size, ess_f, ef, ef_sq, phi_ratio, covered
     return holds
 
 
-def _report(k: int, c: Code, i: int, j: int, r, moments, witnesses, covered, tol):
-    """Report of proposition k (0 size, 1 covering) for code i and witness j.
+def _check(k: int, c: Code, r, subset, tol) -> PropositionReport:
+    """Report of proposition k (0 size, 1 covering) for one code.
 
-    moments is (d, ef, ef_sq, phi_ratio) by code, as :func:`_ball_moments`
-    returns it, and witnesses (lambda, ess support of f, |B|) by witness.
+    B is the ball of radius r, with the witness of :func:`_ball_table`, or
+    an explicit subset, with the top eigenvector of its induced adjacency;
+    exactly one of r and subset is given.  The exhaustive driver builds its
+    violation reports here too, so a dump is the single check's report.
     """
     n, prop, size_prop = c.n, (PROP_SIZE, PROP_COVERING)[k], k == 0
-    (d, ef, ef_sq, phi_ratio), (lam, ess_f, b_size) = moments, witnesses
-    d, lam, ess_f, b_size = int(d[i, k]), float(lam[j]), float(ess_f[j]), int(b_size[j])
-    ef, ef_sq, phi_ratio = float(ef[i, j, k]), float(ef_sq[i, j, k]), float(phi_ratio[i])
+    if not np.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
+    if (r is None) == (subset is None):
+        raise ValueError("pass exactly one of a ball radius or an explicit subset")
+    _check_sweep_cap(n)
+    if subset is None:
+        if not 0 <= r <= n:
+            raise ValueError(f"radius must be in [0, n], got {r}")
+        mask = _indicators([c], n)
+        covered = int(_covered_counts(mask, n, r)[0, r]) if k else None
+        d, ef, ef_sq, phi_ratio = _ball_moments(weight_spectra(mask), n, r)
+        d, ef, ef_sq = d[0, k], ef[0, r, k], ef_sq[0, r, k]
+        lam, ess_f, b_size = (a[r] for a in _ball_table(n)[:3])
+    else:
+        if subset.n != n:
+            raise ValueError(f"dimension mismatch: code n={n}, subset n={subset.n}")
+        lam, vec = subset_top_eigenpair(subset)
+        vals = np.zeros(1 << n)
+        vals[list(subset.members)] = vec
+        f = CubeFunction(n, vals)
+        d = dual_distance(c) if k else min_distance(c)
+        ef, ef_sq, phi_ratio = _moments(
+            autocorrelation(c).values[None, :], wht(c.indicator()).values[None, :] ** 2,
+            wht(f).values[None, :],
+        )
+        ef, ef_sq = ef[0, 0, k], ef_sq[0, 0, k]
+        ess_f, b_size = essential_support_size(f), subset.size
+        covered = _covered_union_subset(c, subset) if k else None
+    d, lam, ess_f, b_size = int(d), float(lam), float(ess_f), int(b_size)
+    ef, ef_sq, phi_ratio = float(ef), float(ef_sq), float(phi_ratio[0])
     premise_ok, m = bool(_premise_ok(n, d, lam, tol)), max(n, 2 * d)
     holds = _inequalities(
         prop, n, m, c.size, b_size, ess_f, ef, ef_sq, phi_ratio, covered, tol
@@ -360,37 +386,6 @@ def _report(k: int, c: Code, i: int, j: int, r, moments, witnesses, covered, tol
         else VERDICT_VIOLATED if failures else VERDICT_HOLDS,
         failures=failures,
     )
-
-
-def _check(k: int, c: Code, r, subset, tol) -> PropositionReport:
-    n = c.n
-    if not np.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
-    if (r is None) == (subset is None):
-        raise ValueError("pass exactly one of a ball radius or an explicit subset")
-    _check_sweep_cap(n)
-    if subset is None:
-        if not 0 <= r <= n:
-            raise ValueError(f"radius must be in [0, n], got {r}")
-        mask = _indicators([c], n)
-        covered = int(_covered_counts(mask, n, r)[0, r]) if k else None
-        moments = _ball_moments(weight_spectra(mask), n, r)
-        witnesses, j = _ball_table(n)[:3], r
-    else:
-        if subset.n != n:
-            raise ValueError(f"dimension mismatch: code n={n}, subset n={subset.n}")
-        lam, vec = subset_top_eigenpair(subset)
-        vals = np.zeros(1 << n)
-        vals[list(subset.members)] = vec
-        f = CubeFunction(n, vals)
-        d = np.array([[0, dual_distance(c)] if k else [min_distance(c), 0]])
-        moments = d, *_moments(
-            autocorrelation(c).values[None, :], wht(c.indicator()).values[None, :] ** 2,
-            wht(f).values[None, :],
-        )
-        witnesses, j = ([lam], [essential_support_size(f)], [subset.size]), 0
-        covered = _covered_union_subset(c, subset) if k else None
-    return _report(k, c, 0, j, r, moments, witnesses, covered, tol)
 
 
 def check_prop_ineq(
@@ -505,8 +500,8 @@ def exhaustive_verify(
     checks run once per distinct weight profile at every radius, the exact
     covering headline once per code; ``threads`` changes neither the work
     nor the summary.  Returns the verdict counts; the first failing (code,
-    radius, proposition) raises :class:`VerificationError` with a
-    reproduction dump.  ``tol`` must be finite.
+    radius, proposition) raises :class:`VerificationError` with the
+    single-code check's report in its dump.  ``tol`` must be finite.
     """
     if not np.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
@@ -526,11 +521,11 @@ def exhaustive_verify(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    witnesses = lam, ess_f, b_size = _ball_table(n)[:3]
+    lam, ess_f, b_size = _ball_table(n)[:3]
     count = holds = 0
     for mask, spectra, inv, member in chunks:
         count += len(mask)
-        moments = d, ef, ef_sq, phi_ratio = _ball_moments(spectra, n, n)
+        d, ef, ef_sq, phi_ratio = _ball_moments(spectra, n, n)
         covered = _covered_counts(mask, n, n)
         premise = _premise_ok(n, d[:, None, :], lam[:, None], tol)  # (profile, r, prop)
         m = np.maximum(n, 2 * d)  # (profile, prop)
@@ -544,7 +539,7 @@ def exhaustive_verify(
         if failed.any():
             i, r, k = (int(x) for x in np.unravel_index(failed.argmax(), failed.shape))
             code, context = member(i)
-            rep = _report(k, code, inv[i], r, r, moments, witnesses, int(covered[i, r]), tol)
+            rep = _check(k, code, r, None, tol)
             raise VerificationError(rep, code, {"seed": seed, **context})
         holds += int(np.bincount(inv) @ premise.sum(axis=(1, 2)))
 

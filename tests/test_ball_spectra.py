@@ -18,6 +18,7 @@ from cube_spectra import (
     lambda_subset_bruteforce,
     min_radius_for_lambda,
 )
+from cube_spectra import ball_spectra
 from cube_spectra.ball_spectra import _eigenvalues_below, subset_top_eigenpair
 from cube_spectra.bounds import ball_size, finite_code_bound
 
@@ -317,3 +318,20 @@ def test_verify_pointwise_checks_a_certificate_beyond_dense_reach():
     assert w.verify_pointwise(tol=1e-9)
     raised = BallEigenWitness(n=w.n, r=w.r, lam=w.lam + 1e-6, profile=w.profile, p=w.p)
     assert not raised.verify_pointwise(tol=1e-9)
+
+
+def test_recurrence_probes_stop_at_weight_r_plus_one(monkeypatch):
+    # a probe that ran on to the profile's own sign change would take O(n)
+    # steps, which is minutes at n = 10^8
+    lengths = []
+    inner = ball_spectra._recurrence
+
+    def spy(*args):
+        g, first_nonpos = inner(*args)
+        lengths.append(len(g))
+        return g, first_nonpos
+
+    monkeypatch.setattr(ball_spectra, "_recurrence", spy)
+    w = lambda_for_radius_recurrence(10**6, 1)
+    assert len(lengths) > 1 and max(lengths) <= 3
+    assert w.p == 1 and w.lam == pytest.approx(1000.0, abs=1e-9)

@@ -279,6 +279,50 @@ def test_verify_refuses_a_code_past_the_sweep_cap(tmp_path):
     assert proc.returncode == 2 and "exact sweep capped at n=24" in proc.stderr
 
 
+def test_lambda_recurrence_does_not_hang_on_a_large_n():
+    # each bisection probe must stop at weight r+1, not run O(n) steps
+    proc = subprocess.run(
+        [sys.executable, "-m", "cube_spectra.cli", "lambda", "--n", "100000000",
+         "--r", "1", "--recurrence"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0 and "lambda 10000\n" in proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("n", [40, 100])
+def test_wht_refuses_a_code_past_the_transform_cap(capsys, tmp_path, n):
+    # the cap must be checked before the 2^n indicator is allocated
+    path = tmp_path / "wide.txt"
+    path.write_text(f"n={n}\n0x0\n0x1\n")
+    rc = main(["wht", "--code", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and "dimension must be in [1, 28]" in err
+
+
+def test_verify_checks_the_sweep_cap_before_the_distance(capsys, tmp_path):
+    path = tmp_path / "wide.txt"
+    path.write_text("n=100\n0x0\n0xfffffffffffffffffffffffff\n")
+    rc = main(["verify", "--code", str(path), "--r", "1", "--d", "2"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and "exact sweep capped at n=24" in err
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ("n=x\n0x1\n", ["wht"], "bad header"),
+    ("n=0\n0x1\n", ["wht"], "n must be positive"),
+    ("n=4\n0xZZ\n", ["wht"], "bad hex word"),
+    (None, ["verify", "--r", "9"], "radius must be in [0, n]"),
+], ids=["n=x", "n=0", "0xZZ", "r=9"])
+def test_input_errors_exit_2(capsys, tmp_path, rep4, text, argv, message):
+    path = rep4
+    if text is not None:
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+    rc = main([*argv, "--code", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and message in err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cube_spectra.cli", "lambda", "--n", "2", "--r", "1",

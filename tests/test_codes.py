@@ -24,7 +24,6 @@ from cube_spectra import (
     LinearCode,
     SingletonDistanceWarning,
     autocorrelation,
-    distance_distribution,
     dual_code,
     dual_distance,
     enumerate_linear_codes,
@@ -68,6 +67,11 @@ def test_code_validation():
         Code(2, (4,))
     with pytest.raises(ValueError, match="lie in"):
         Code(2, (-1,))
+
+
+def test_int_indicator_checks_the_transform_cap_before_allocating():
+    with pytest.raises(ValueError, match=r"dimension must be in \[1, 28\], got 100"):
+        Code(100, (0, 1)).int_indicator()
 
 
 def test_linear_code_validation():
@@ -211,26 +215,6 @@ def test_linear_indicator_transform_is_scaled_dual_indicator():
                 dual_pts = set(dual_code(lc).expand().points)
                 for s in range(1 << n):
                     assert t[s] == (c.size if s in dual_pts else 0)
-
-
-def test_distance_distribution_examples():
-    dd = distance_distribution(Code(2, (0, 3)))
-    assert dd.counts == (1.0, 0.0, 1.0)
-    c = even_weight_code(4)
-    brute = naive_pair_distance_counts(c.points, 4)
-    dd = distance_distribution(c)
-    assert dd.counts == tuple(b / c.size for b in brute)
-    assert sum(dd.counts) == c.size
-    assert dd.counts[0] == 1.0
-
-
-def test_distance_distribution_linear_equals_weight_enumerator():
-    c = hamming_7_4()
-    dd = distance_distribution(c)
-    w = [0] * 8
-    for p in c.points:
-        w[bin(p).count("1")] += 1
-    assert dd.counts == tuple(float(x) for x in w)
 
 
 def naive_dual_weight_sums(points, n):

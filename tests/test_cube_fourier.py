@@ -19,12 +19,6 @@ from cube_spectra import (
     moments,
     wht,
 )
-from cube_spectra.cube_fourier import (
-    format_function_lines,
-    parse_function_lines,
-    read_function_binary,
-    write_function_binary,
-)
 
 
 def test_wht_constant_is_delta():
@@ -263,26 +257,3 @@ def test_property_convolution_theorem(n, seed):
     lhs = wht(convolve(f, g)).values
     rhs = wht(f).values * wht(g).values
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_text_serialization_round_trip(rng):
-    f = CubeFunction(3, rng.standard_normal(8))
-    back = parse_function_lines(format_function_lines(f))
-    assert back.n == 3 and back.values.tolist() == f.values.tolist()
-
-
-def test_text_serialization_errors():
-    with pytest.raises(ValueError, match="power-of-two"):
-        parse_function_lines("0 1.0\n1 2.0\n2 3.0\n")
-    with pytest.raises(ValueError, match="duplicate"):
-        parse_function_lines("0 1.0\n0 2.0\n")
-    with pytest.raises(ValueError, match="cover"):
-        parse_function_lines("0 1.0\n2 2.0\n")
-
-
-def test_binary_serialization_round_trip(tmp_path, rng):
-    f = CubeFunction(4, rng.standard_normal(16))
-    path = tmp_path / "fn.bin"
-    write_function_binary(f, path)
-    back = read_function_binary(path)
-    assert back.n == 4 and back.values.tolist() == f.values.tolist()

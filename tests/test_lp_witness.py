@@ -23,6 +23,7 @@ from cube_spectra import (
     enumerate_linear_codes,
     essential_support_size,
     exhaustive_verify,
+    hamming_ball,
     hamming_weights,
     int_wht,
     lambda_for_radius_recurrence,
@@ -599,3 +600,17 @@ def test_verification_error_carries_reproduction_dump():
     assert '"codewords"' in text and "000" in text
     payload = json.loads(text.split("dump:\n", 1)[1])
     assert payload["report"]["n"] == 3
+
+
+def test_radius_checks_refuse_a_radius_outside_zero_to_n():
+    code = Code(4, (0, 15))
+    calls = [
+        lambda r: check_prop_ineq(code, ball_r=r),
+        lambda r: check_covering(code, r=r),
+        lambda r: hamming_ball(4, r),
+        lambda r: lambda_for_radius_recurrence(4, r),
+    ]
+    for call in calls:
+        for r in (-1, 5):
+            with pytest.raises(ValueError, match=r"radius must be in \[0, n\]"):
+                call(r)

@@ -130,6 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_lambda(args) -> int:
     n, r, method = args.n, args.r, args.method
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got n={n} r={r}")
 
@@ -185,7 +187,17 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.code is not None:
+    single = args.code is not None
+    if single:  # --n, --all-linear and --random pick a family; --r and --d apply to one code
+        stray = (("--n", args.n), ("--all-linear", args.all_linear or None),
+                 ("--random", args.random))
+    else:
+        stray = (("--r", args.r), ("--d", args.d))
+    for flag, value in stray:
+        if value is not None:
+            kind = "single-code" if single else "family"
+            raise ValueError(f"{flag} does not apply to {kind} verification")
+    if single:
         code = read_code_file(args.code)
         if args.r is None:
             raise ValueError("single-code verification needs --r")

@@ -8,7 +8,6 @@ are frozen values with structural equality.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -254,24 +253,41 @@ def dual_code(c: LinearCode) -> LinearCode:
 
 
 def _echelon_rows(n: int, k: int) -> np.ndarray:
-    """(count, k) uint8 echelon generator rows of every k-dim subspace of F2^n.
+    """Read-only (count, k) uint8 echelon generator rows of every k-dim subspace of F2^n.
 
     For each pivot set in combinations order, the free positions (non-pivot
     columns right of each pivot, row by row) take the bits of 0 .. 2^free - 1
     in turn; the count per pivot set is the Gaussian binomial coefficient.
+    Built by :func:`_echelon_recursion`.
     """
     if not (1 <= k <= n <= 8):
         raise ValueError(f"enumeration supports 1 <= k <= n <= 8, got n={n} k={k}")
-    blocks = []
-    for pivots in itertools.combinations(range(n), k):
-        slots = [(j, col) for j, p in enumerate(pivots)
-                 for col in range(p + 1, n) if col not in pivots]
-        bits = np.arange(1 << len(slots), dtype=np.int64)
-        rows = np.tile(np.left_shift(1, np.array(pivots, dtype=np.int64)), (len(bits), 1))
-        for t, (j, col) in enumerate(slots):
-            rows[:, j] |= ((bits >> t) & 1) << col
-        blocks.append(rows.astype(np.uint8))
-    return np.concatenate(blocks)
+    return _echelon_recursion(n, k)
+
+
+@lru_cache(maxsize=None)
+def _echelon_recursion(n: int, k: int) -> np.ndarray:
+    """E(n, k) = :func:`_echelon_rows` by [n,k]_2 = 2^(n-k) [n-1,k-1]_2 + [n-1,k]_2.
+
+    The recursion is on column 0.  The pivot sets holding it come first: for
+    each row block e of E(n-1, k-1) in turn, shifted up a column, row 0 is
+    1 | s << 1 for every submask s of e's non-pivot columns in increasing
+    order (row 0's free positions are the low bits of the free-position
+    count).  The pivot sets without column 0 follow: E(n-1, k), shifted.
+    E(n, 0) is one empty block and E(n, k > n) is empty.  Memoized, so a
+    sweep builds each E(n', k') once.
+    """
+    if k == 0:
+        return np.zeros((1, 0), dtype=np.uint8)
+    if k > n:
+        return np.zeros((0, k), dtype=np.uint8)
+    sub = _echelon_recursion(n - 1, k - 1)
+    pivots = np.bitwise_or.reduce(sub & -sub, axis=1).astype(np.int64)  # lowest set bits
+    block, s = np.nonzero(np.arange(1 << (n - 1)) & pivots[:, None] == 0)
+    head = np.concatenate([(1 | s << 1).astype(np.uint8)[:, None], sub[block] << 1], axis=1)
+    rows = np.concatenate([head, _echelon_recursion(n - 1, k) << 1])
+    rows.flags.writeable = False
+    return rows
 
 
 def enumerate_linear_codes(n: int, k: int):

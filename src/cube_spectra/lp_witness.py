@@ -34,12 +34,13 @@ codewords).  phi's ratio is sum(P) / P_0:
     size:      mean(F) = sqrt(|C|/2^n) fhat_0,  mean(F^2) = 2^-n sum P_w fhat_w^2
     covering:  mean(F) = (|C|/2^n) fhat_0,      mean(F^2) = 4^-n sum T_w fhat_w^2
 
-All radii are one matrix product.  A family runs in chunks of codes (the
-linear family spanned per chunk from echelon rows into uint8 codewords,
-its indicators and weight counts), the float checks once per distinct
-weight profile, the covered-union counts per code as exact dilations of
-bit-packed indicators, stopped once every code covers the cube.  An
-explicit subset B runs the same sums over all 2^n points.
+All radii are one matrix product.  A family runs in chunks of codes, each
+held as bit-packed indicators (the linear family spanned per chunk from
+echelon rows into uint8 codewords, then packed, with its weight counts
+taken off the words), the float checks once per distinct weight profile,
+and only the exact covering count per code, from dilations of the packed
+indicators stopped once every code covers the cube.  An explicit subset B
+runs the same sums over all 2^n points.
 
 Reports never silently skip: an unmet premise is a verdict, and a violated
 inequality on valid inputs signals an implementation bug and is raised
@@ -84,6 +85,7 @@ from .cube_fourier import (
     DEFAULT_TOL,
     convolve,
     essential_support_size,
+    hamming_weights,
     inverse_wht,
     krawtchouk,
     sweep_dimension_cap,
@@ -200,28 +202,49 @@ def _indicators(codes, n: int) -> np.ndarray:
     return mask
 
 
+def _pack(mask: np.ndarray) -> np.ndarray:
+    """Boolean (codes, 2^n) indicators as (codes, words) little-endian uint64 words.
+
+    64 points a word, point j at bit j % 64 of word j // 64; below n = 6 the
+    one word is partial, with zero padding.
+    """
+    packed = np.packbits(mask, axis=-1, bitorder="little")
+    return np.pad(packed, [(0, 0), (0, -packed.shape[-1] % 8)]).view("<u8")
+
+
+def _row_popcounts(words: np.ndarray) -> np.ndarray:
+    """int64 number of set bits in each row of packed words.
+
+    Each row is folded in halves (a row is a power of two words long).  A
+    sweep's rows hold one to four words, where a strided add or two is
+    several times cheaper than a sum over so short an axis.
+    """
+    counts = np.bitwise_count(words).astype(np.int64)
+    while counts.shape[1] > 1:
+        counts = counts[:, ::2] + counts[:, 1::2]
+    return counts[:, 0]
+
+
 # _LOW_HALVES[i]: the bits j of a 64-point word whose index bit i is 0.
 _LOW_HALVES = np.array([sum(1 << j for j in range(64) if not j >> i & 1) for i in range(6)],
                        dtype=np.uint64)
 
 
-def _covered_counts(mask: np.ndarray, n: int, r_max: int) -> np.ndarray:
+def _covered_counts(words: np.ndarray, n: int, r_max: int) -> np.ndarray:
     """covered[c, r]: exact number of points within distance r of code c.
 
-    The indicators are packed 64 points to a little-endian uint64 word, so
-    flipping index bit i < 6 is a shift and mask inside every word and
-    flipping bit i >= 6 swaps words.  Below n = 6 the one word is partial;
-    flips of bits below n never reach its zero padding.  Once every row
-    covers the cube, the remaining radii are 2^n without further dilations.
+    words are the codes' indicators packed by :func:`_pack`: flipping index
+    bit i < 6 is a shift and mask inside every word and flipping bit i >= 6
+    swaps words.  Below n = 6 the one word is partial; flips of bits below n
+    never reach its zero padding.  Once every row covers the cube, the
+    remaining radii are 2^n without further dilations.
     """
-    packed = np.packbits(mask, axis=-1, bitorder="little")
-    pad = [(0, 0)] * (mask.ndim - 1) + [(0, -packed.shape[-1] % 8)]
-    words = np.pad(packed, pad).view("<u8")
-    split = words.shape[:-1] + (-1, 2)
-    counts = [np.bitwise_count(words).sum(axis=-1, dtype=np.int64)]
-    for _ in range(r_max):
-        if (counts[-1] == 1 << n).all():
-            counts += counts[-1:] * (r_max + 1 - len(counts))
+    counts = np.empty((len(words), r_max + 1), dtype=np.int64)
+    counts[:, 0] = _row_popcounts(words)
+    split = (len(words), -1, 2)
+    for r in range(1, r_max + 1):
+        if (counts[:, r - 1] == 1 << n).all():
+            counts[:, r:] = 1 << n
             break
         out = words.copy()
         for i, low in enumerate(_LOW_HALVES[:n]):
@@ -229,8 +252,8 @@ def _covered_counts(mask: np.ndarray, n: int, r_max: int) -> np.ndarray:
         for i in range(6, n):
             out |= words.reshape(split + (1 << (i - 6),))[..., ::-1, :].reshape(words.shape)
         words = out
-        counts.append(np.bitwise_count(words).sum(axis=-1, dtype=np.int64))
-    return np.stack(counts, axis=-1)
+        counts[:, r] = _row_popcounts(words)
+    return counts
 
 
 def _covered_union_subset(c: Code, subset: SubsetGraph) -> int:
@@ -251,7 +274,7 @@ def covered_fraction(c: Code, r: int) -> float:
     if not 0 <= r <= c.n:
         raise ValueError(f"radius must be in [0, n], got {r}")
     _check_sweep_cap(c.n)
-    return _covered_counts(_indicators([c], c.n), c.n, r)[0, r] / float(1 << c.n)
+    return _covered_counts(_pack(_indicators([c], c.n)), c.n, r)[0, r] / float(1 << c.n)
 
 
 # --- moments and reports ------------------------------------------------------------
@@ -346,7 +369,7 @@ def _check(k: int, c: Code, r, subset, tol) -> PropositionReport:
         if not 0 <= r <= n:
             raise ValueError(f"radius must be in [0, n], got {r}")
         mask = _indicators([c], n)
-        covered = int(_covered_counts(mask, n, r)[0, r]) if k else None
+        covered = int(_covered_counts(_pack(mask), n, r)[0, r]) if k else None
         d, ef, ef_sq, phi_ratio = _ball_moments(weight_spectra(mask), n, r)
         d, ef, ef_sq = d[0, k], ef[0, r, k], ef_sq[0, r, k]
         lam, ess_f, b_size = (a[r] for a in _ball_table(n)[:3])
@@ -423,42 +446,57 @@ def check_covering(
 
 # Codes per chunk times 2^n: bounds the working set of one chunk's arrays.
 # The family is generated chunk by chunk, so memory does not grow with it.
-# A random-general chunk holds the int64 transform, 8 bytes a point; a linear
-# chunk holds no per-point array wider than a byte and its float checks run
-# on its distinct weight profiles only, so it takes four times the codes
-# (2,048 at n = 7, whose sweep traces about 1.5 MiB).
+# A random-general chunk holds the int64 transform, 8 bytes a point.  A linear
+# chunk keeps its indicators packed, a bit a point, and runs its float checks
+# on its distinct weight profiles only, so it takes sixteen times the codes
+# (8,192 at n = 7, whose sweep traces about 1.5 MiB).  It is spanned in blocks
+# of _SPAN_ENTRIES, each with a byte-a-point mask that lives until packed: a
+# chunk-sized mask raised the n = 7 sweep's peak resident memory by 0.4 MB.
 _CHUNK_ENTRIES = 1 << 16
-_LINEAR_CHUNK_ENTRIES = 1 << 18
+_LINEAR_CHUNK_ENTRIES = 1 << 20
+_SPAN_ENTRIES = 1 << 18
+
+
+def _span_words(rows: np.ndarray, n: int) -> np.ndarray:
+    """Packed indicators of the linear codes with these (codes, k) echelon rows.
+
+    The rows are spanned into uint8 codewords (n <= 8), set in a boolean
+    mask and packed by :func:`_pack`.
+    """
+    span = np.zeros((len(rows), 1), dtype=np.uint8)
+    for g in rows.T:
+        span = np.concatenate([span, span ^ g[:, None]], axis=1)
+    mask = np.zeros((len(rows), 1 << n), dtype=bool)
+    mask[np.arange(len(rows))[:, None], span] = True
+    return _pack(mask)
 
 
 def _linear_chunks(n: int, step: int):
-    """(indicators, profile spectra, profile of each code, member) per chunk.
+    """(packed indicators, profile spectra, profile of each code, member) per chunk.
 
     Dimension by dimension, up to ``step`` echelon rows at a time of the
-    linear codes of length n are spanned once into uint8 codewords (n <= 8).
-    The span gives the indicator rows and the weight counts A, one bincount
-    of the codewords' popcounts offset by n+1 per code.  The distinct A, one
-    exact int64 key each (7 bits a weight: A_w <= C(8, 4) < 2^7), are the
-    chunk's profiles, with spectra by :func:`linear_weight_spectra`; inv maps
-    codes to profiles, and member(i) rebuilds code i with its context by its
-    position in :func:`enumerate_linear_codes`.
+    linear codes of length n are spanned and packed by :func:`_span_words`,
+    in blocks of _SPAN_ENTRIES / 2^n rows.  The weight counts A_w are the
+    popcounts of the words ANDed with the packed points of weight w.  The
+    distinct A, one exact int64 key each (7 bits a weight: A_w <= C(8, 4) <
+    2^7), are the chunk's profiles, with spectra by
+    :func:`linear_weight_spectra`; inv maps codes to profiles, and member(i)
+    rebuilds code i with its context by its position in
+    :func:`enumerate_linear_codes`.
     """
+    by_weight = _pack(hamming_weights(n) == np.arange(n + 1)[:, None])
+    shifts = 7 * np.arange(n + 1)
+    block = max(1, _SPAN_ENTRIES >> n)
     for k in range(1, n + 1):
         rows = _echelon_rows(n, k)
         for start in range(0, len(rows), step):
             part = rows[start : start + step]
-            span = np.zeros((len(part), 1), dtype=np.uint8)
-            for g in part.T:
-                span = np.concatenate([span, span ^ g[:, None]], axis=1)
-            mask = np.zeros((len(part), 1 << n), dtype=bool)
-            np.put_along_axis(mask, span, True, axis=1)
-            offsets = np.arange(0, len(part) * (n + 1), n + 1)[:, None]
-            counts = np.bincount((np.bitwise_count(span) + offsets).ravel(),
-                                 minlength=len(part) * (n + 1)).reshape(-1, n + 1)
-            _, first, inv = np.unique(counts @ (1 << 7 * np.arange(n + 1)),
-                                      return_index=True, return_inverse=True)
-            spectra = linear_weight_spectra(counts[first])
-            yield mask, spectra, inv, partial(_linear_member, n, k, start)
+            words = np.concatenate([_span_words(part[i : i + block], n)
+                                    for i in range(0, len(part), block)])
+            key = sum(_row_popcounts(words & w) << s for w, s in zip(by_weight, shifts))
+            profiles, inv = np.unique(key, return_inverse=True)
+            counts = profiles[:, None] >> shifts & 127
+            yield words, linear_weight_spectra(counts), inv, partial(_linear_member, n, k, start)
 
 
 def _linear_member(n: int, k: int, start: int, i: int):
@@ -467,7 +505,7 @@ def _linear_member(n: int, k: int, start: int, i: int):
 
 
 def _random_chunks(n: int, contexts, step: int):
-    """(indicators, spectra, profile of each code, member) per chunk of random codes.
+    """(packed indicators, spectra, profile of each code, member) per chunk of random codes.
 
     Each code is its own profile; member(i) draws code i again from its
     context, so a chunk keeps no codes.
@@ -475,7 +513,7 @@ def _random_chunks(n: int, contexts, step: int):
     for part in iter(lambda: list(itertools.islice(contexts, step)), []):
         member = partial(_random_member, n, part)
         mask = _indicators([member(i)[0] for i in range(len(part))], n)
-        yield mask, weight_spectra(mask), np.arange(len(mask)), member
+        yield _pack(mask), weight_spectra(mask), np.arange(len(mask)), member
 
 
 def _random_member(n: int, contexts: list, i: int):
@@ -523,20 +561,22 @@ def exhaustive_verify(
 
     lam, ess_f, b_size = _ball_table(n)[:3]
     count = holds = 0
-    for mask, spectra, inv, member in chunks:
-        count += len(mask)
+    for words, spectra, inv, member in chunks:
+        count += len(words)
         d, ef, ef_sq, phi_ratio = _ball_moments(spectra, n, n)
-        covered = _covered_counts(mask, n, n)
         premise = _premise_ok(n, d[:, None, :], lam[:, None], tol)  # (profile, r, prop)
         m = np.maximum(n, 2 * d)  # (profile, prop)
         ok = []  # sizes are P_0 = |C|
         for k, prop in enumerate((PROP_SIZE, PROP_COVERING)):
             checks = _inequalities(prop, n, m[:, k, None], spectra[0][:, :1], b_size, ess_f,
                                    ef[..., k], ef_sq[..., k], phi_ratio[:, None], None, tol)
-            ok.append(reduce(np.logical_and, checks.values())[inv])
-        ok[1] &= covered * m[inv, 1, None] >= 1 << n  # the exact covering headline, by code
-        failed = premise[inv] & ~np.stack(ok, axis=-1)  # (code, r, prop)
-        if failed.any():
+            ok.append(reduce(np.logical_and, checks.values()))
+        failed = premise & ~np.stack(ok, axis=-1)  # (profile, r, prop)
+        # the exact covering headline, the only check made per code
+        short = premise[inv, :, 1] & (_covered_counts(words, n, n) * m[inv, 1, None] < 1 << n)
+        if failed.any() or short.any():
+            failed = failed[inv]  # (code, r, prop)
+            failed[..., 1] |= short
             i, r, k = (int(x) for x in np.unravel_index(failed.argmax(), failed.shape))
             code, context = member(i)
             rep = _check(k, code, r, None, tol)

@@ -154,6 +154,28 @@ def test_verify_usage_errors(capsys, even4):
     assert run_cli(capsys, "verify", "--code", even4)[0] == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--code", "@rep4", "--r", "2", "--all-linear", "--n", "8"], "--n"),
+    (["--code", "@rep4", "--r", "2", "--all-linear"], "--all-linear"),
+    (["--code", "@rep4", "--r", "2", "--random", "5"], "--random"),
+    (["--n", "3", "--all-linear", "--r", "2"], "--r"),
+    (["--n", "3", "--random", "4", "--d", "2"], "--d"),
+])
+def test_verify_refuses_the_flags_of_the_other_mode(capsys, rep4, argv, flag):
+    # before, the stray flag was ignored and the run exited 0
+    rc = main(["verify", *(rep4 if a == "@rep4" else a for a in argv)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and f"error: {flag} does not apply" in err
+
+
+@pytest.mark.parametrize("method", ["--exact", "--recurrence", "--bruteforce"])
+def test_lambda_refuses_n_zero_for_every_method(capsys, method):
+    # --exact and --bruteforce printed "lambda 0" and exited 0
+    rc = main(["lambda", "--n", "0", "--r", "0", method])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and "need n >= 1" in err
+
+
 def test_verify_refuses_a_negative_trial_count(capsys):
     assert main(["verify", "--n", "6", "--random", "-5"]) == 2
     out, err = capsys.readouterr()

@@ -28,6 +28,7 @@ from cube_spectra import (
     int_wht,
     lambda_for_radius_recurrence,
     min_distance,
+    min_radius_for_lambda,
     moments,
     phi_from_code,
     random_code,
@@ -45,6 +46,8 @@ from cube_spectra.lp_witness import (
     _covered_counts,
     _indicators,
     _linear_chunks,
+    _pack,
+    _premise_ok,
 )
 
 
@@ -262,7 +265,7 @@ def test_covered_counts_match_the_nearest_codeword_oracle():
         by_n.setdefault(n, []).append(random_code(n, int(rng.integers(1, n + 2)), seed=t))
     assert set(by_n) == set(range(1, 13))
     for n, codes in by_n.items():
-        got = _covered_counts(_indicators(codes, n), n, n)
+        got = _covered_counts(_pack(_indicators(codes, n)), n, n)
         for c, row in zip(codes, got.tolist()):
             assert row == naive_covered_counts(c.points, n), (n, c.points)
 
@@ -277,10 +280,10 @@ def test_covered_counts_stop_once_every_row_covers_the_cube():
     assert [row.index(1 << n) for row in want] == [0, 1, 2, 3, 4]
     singleton = Code(n, (0,))
     for stack in (codes, codes + [singleton], *([c] for c in codes)):
-        mask = _indicators(stack, n)
+        words = _pack(_indicators(stack, n))
         oracle = [naive_covered_counts(c.points, n) for c in stack]
         for r_max in range(n + 1):
-            got = _covered_counts(mask, n, r_max)
+            got = _covered_counts(words, n, r_max)
             assert got.dtype == np.int64
             assert got.tolist() == [row[: r_max + 1] for row in oracle], (stack, r_max)
 
@@ -294,14 +297,15 @@ def test_linear_weight_spectra_match_the_transform_on_every_chunk():
         ends = np.cumsum(per_k)
         wanted = set((ends - 1).tolist()) | set((ends - per_k).tolist())
         checked = codes = 0
-        for i, (mask, (pairs, sums), inv, _) in enumerate(_linear_chunks(n, step)):
-            codes += len(mask)
+        for i, (words, (pairs, sums), inv, _) in enumerate(_linear_chunks(n, step)):
+            codes += len(words)
             # one row per distinct weight profile: A = P / |C|, |C| = P_0
             profiles = pairs // pairs[:, :1]
             assert len(np.unique(profiles, axis=0)) == len(profiles) == inv.max() + 1
             np.testing.assert_array_equal(linear_weight_spectra(profiles), (pairs, sums))
             if n == 8 and i not in wanted:
                 continue
+            mask = np.unpackbits(words.view(np.uint8), axis=-1, count=1 << n, bitorder="little")
             for got, want in zip((pairs[inv], sums[inv]), weight_spectra(mask)):
                 assert got.dtype == want.dtype == np.int64
                 np.testing.assert_array_equal(got, want)
@@ -315,10 +319,10 @@ def test_linear_chunks_span_every_code_in_family_order():
         codes = [(lc.expand(), k)
                  for k in range(1, n + 1) for lc in enumerate_linear_codes(n, k)]
         chunks = list(_linear_chunks(n, 7))  # chunk boundaries inside each dimension
-        masks = np.concatenate([mask for mask, *_ in chunks])
-        np.testing.assert_array_equal(masks, _indicators([c for c, _ in codes], n))
+        words = np.concatenate([words for words, *_ in chunks])
+        np.testing.assert_array_equal(words, _pack(_indicators([c for c, _ in codes], n)))
         if n <= 4:
-            members = [member(i) for mask, *_, member in chunks for i in range(len(mask))]
+            members = [member(i) for words, *_, member in chunks for i in range(len(words))]
             assert members == [(c, {"mode": "all-linear", "k": k}) for c, k in codes]
 
 
@@ -494,6 +498,20 @@ def test_sharp_inequality_holds_on_every_premise_met_row():
         lhs, rhs = (lam - n + 2 * d) * ef_sq, 2 * d * ef * ef
         assert met.sum() > 0
         assert (lhs <= rhs * (1 + 1e-12))[met].all(), n
+
+
+def test_float_premise_agrees_with_the_exact_minimal_radius():
+    # the sweep's premise lambda_r >= n - 2d + 1 - tol, read at the raw d
+    # (n + 1 for a one-word code), holds exactly from the exact r* on
+    triples = 0
+    for n in range(1, 25):
+        lam = _ball_table(n)[0]
+        for d in range(1, n + 2):
+            r_star = min_radius_for_lambda(n, max(n - 2 * d + 1, 0))
+            met = _premise_ok(n, d, lam, 1e-9)
+            assert met.tolist() == [r >= r_star for r in range(n + 1)], (n, d)
+            triples += n + 1
+    assert triples == 5524
 
 
 @pytest.mark.filterwarnings("ignore::cube_spectra.SingletonDistanceWarning")

@@ -33,10 +33,6 @@ class SingletonDistanceWarning(UserWarning):
     """Minimal distance requested for a one-word code (reported as n+1)."""
 
 
-def _popcounts(a: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(a.astype(np.uint64))
-
-
 @dataclass(frozen=True)
 class Code:
     """Nonempty subset of {0,1}^n; points are deduplicated and sorted."""
@@ -149,7 +145,7 @@ def min_distance(c: Code) -> int:
     pts = np.array(c.points, dtype=np.uint64)
     best = c.n
     for i in range(len(pts) - 1):
-        d = int(_popcounts(pts[i] ^ pts[i + 1 :]).min())
+        d = int(np.bitwise_count(pts[i] ^ pts[i + 1 :]).min())
         if d < best:
             best = d
             if best == 1:

@@ -28,19 +28,17 @@ exact distance distribution P and the dual weight sums T, P = K T / 2^n by
 MacWilliams (:func:`weight_spectra`).  For a linear code the transform of
 1_C is |C| times the dual's indicator, so both follow from the n+1 weight
 counts A: P = |C| A and T = |C| A K^T (:func:`linear_weight_spectra`, the
-all-linear sweep's route, which counts A off the popcounts of the spanned
-codewords).  phi's ratio is sum(P) / P_0:
+all-linear sweep's route, which counts A off the packed indicators).  phi's
+ratio is sum(P) / P_0:
 
     size:      mean(F) = sqrt(|C|/2^n) fhat_0,  mean(F^2) = 2^-n sum P_w fhat_w^2
     covering:  mean(F) = (|C|/2^n) fhat_0,      mean(F^2) = 4^-n sum T_w fhat_w^2
 
-All radii are one matrix product.  A family runs in chunks of codes, each
-held as bit-packed indicators (the linear family spanned per chunk from
-echelon rows into uint8 codewords, then packed, with its weight counts
-taken off the words), the float checks once per distinct weight profile,
-and only the exact covering count per code, from dilations of the packed
-indicators stopped once every code covers the cube.  An explicit subset B
-runs the same sums over all 2^n points.
+All radii are one matrix product.  A family runs in chunks of codes held as
+bit-packed indicators (the linear family built by recursion in reversed
+coordinates), the float checks once per distinct weight profile and only
+the exact covering count per code, by dilations of the packed indicators.
+An explicit subset B runs the same sums over all 2^n points.
 
 Reports never silently skip: an unmet premise is a verdict, and a violated
 inequality on valid inputs signals an implementation bug and is raised
@@ -70,7 +68,6 @@ from .ball_spectra import (
 from .bounds import ball_size
 from .codes import (
     Code,
-    _echelon_rows,
     autocorrelation,
     dual_distance,
     enumerate_linear_codes,
@@ -225,32 +222,31 @@ def _row_popcounts(words: np.ndarray) -> np.ndarray:
     return counts[:, 0]
 
 
-# _LOW_HALVES[i]: the bits j of a 64-point word whose index bit i is 0.
-_LOW_HALVES = np.array([sum(1 << j for j in range(64) if not j >> i & 1) for i in range(6)],
-                       dtype=np.uint64)
+def _flip(words: np.ndarray, i: int) -> np.ndarray:
+    """Packed words with index bit i < n of every point flipped."""
+    if i < 6:  # shift and mask inside each word; low: the bits j with bit i of j clear
+        low = np.uint64((1 << 64) // ((1 << (1 << i)) + 1))
+        return ((words & low) << (1 << i)) | ((words >> (1 << i)) & low)
+    split = words.shape[:-1] + (-1, 2, 1 << (i - 6))  # swap blocks of whole words
+    return words.reshape(split)[..., ::-1, :].reshape(words.shape)
 
 
 def _covered_counts(words: np.ndarray, n: int, r_max: int) -> np.ndarray:
     """covered[c, r]: exact number of points within distance r of code c.
 
-    words are the codes' indicators packed by :func:`_pack`: flipping index
-    bit i < 6 is a shift and mask inside every word and flipping bit i >= 6
-    swaps words.  Below n = 6 the one word is partial; flips of bits below n
-    never reach its zero padding.  Once every row covers the cube, the
-    remaining radii are 2^n without further dilations.
+    words are packed indicators, as by :func:`_pack` in any coordinate order;
+    a dilation ORs in each :func:`_flip`.  Once every row covers the cube,
+    the remaining radii are 2^n without further dilations.
     """
     counts = np.empty((len(words), r_max + 1), dtype=np.int64)
     counts[:, 0] = _row_popcounts(words)
-    split = (len(words), -1, 2)
     for r in range(1, r_max + 1):
         if (counts[:, r - 1] == 1 << n).all():
             counts[:, r:] = 1 << n
             break
         out = words.copy()
-        for i, low in enumerate(_LOW_HALVES[:n]):
-            out |= ((words & low) << (1 << i)) | ((words >> (1 << i)) & low)
-        for i in range(6, n):
-            out |= words.reshape(split + (1 << (i - 6),))[..., ::-1, :].reshape(words.shape)
+        for i in range(n):
+            out |= _flip(words, i)
         words = out
         counts[:, r] = _row_popcounts(words)
     return counts
@@ -445,54 +441,60 @@ def check_covering(
 # --- exhaustive driver ------------------------------------------------------------
 
 # Codes per chunk times 2^n: bounds the working set of one chunk's arrays.
-# The family is generated chunk by chunk, so memory does not grow with it.
-# A random-general chunk holds the int64 transform, 8 bytes a point.  A linear
-# chunk keeps its indicators packed, a bit a point, and runs its float checks
-# on its distinct weight profiles only, so it takes sixteen times the codes
-# (8,192 at n = 7, whose sweep traces about 1.5 MiB).  It is spanned in blocks
-# of _SPAN_ENTRIES, each with a byte-a-point mask that lives until packed: a
-# chunk-sized mask raised the n = 7 sweep's peak resident memory by 0.4 MB.
+# A random-general chunk is drawn as it runs and holds the int64 transform, 8
+# bytes a point.  A linear chunk is cut from its dimension's packed words, a
+# bit a point, and runs its float checks on its distinct weight profiles only,
+# so it takes sixteen times the codes (8,192 at n = 7, whose sweep traces
+# about 1.55 MiB).
 _CHUNK_ENTRIES = 1 << 16
 _LINEAR_CHUNK_ENTRIES = 1 << 20
-_SPAN_ENTRIES = 1 << 18
 
 
-def _span_words(rows: np.ndarray, n: int) -> np.ndarray:
-    """Packed indicators of the linear codes with these (codes, k) echelon rows.
+@lru_cache(maxsize=None)
+def _family_words(n: int, k: int):
+    """(words, pivots) of the k-dim linear codes of length n, in family order.
 
-    The rows are spanned into uint8 codewords (n <= 8), set in a boolean
-    mask and packed by :func:`_pack`.
+    Packed as by :func:`_pack` with coordinates reversed, point x at index
+    rev_n(x) (an isometry of the cube); pivots are uint8 bit masks, n <= 8.
+    As in :func:`codes._echelon_recursion` on coordinate 0, now the top index
+    bit, C' of E(n-1, k-1) gives C' | C' + s for each submask s of its
+    non-pivot columns in increasing order, C' of E(n-1, k) gives C' | 0.
     """
-    span = np.zeros((len(rows), 1), dtype=np.uint8)
-    for g in rows.T:
-        span = np.concatenate([span, span ^ g[:, None]], axis=1)
-    mask = np.zeros((len(rows), 1 << n), dtype=bool)
-    mask[np.arange(len(rows))[:, None], span] = True
-    return _pack(mask)
+    width = max(1, (1 << n) >> 6)
+    if k == 0 or k > n:  # the zero code alone, or none
+        return np.eye(int(k == 0), width, dtype=np.uint64), np.zeros(int(k == 0), np.uint8)
+    (sub, pivots), (tail, tail_pivots) = _family_words(n - 1, k - 1), _family_words(n - 1, k)
+    block, s = np.nonzero(np.arange(1 << (n - 1)) & pivots[:, None] == 0)
+    low = high = sub[block]
+    for i in range(n - 1):
+        high = np.where((s >> i & 1).astype(bool)[:, None], _flip(high, n - 2 - i), high)
+    if n > 6:
+        head = np.concatenate([low, high], axis=1)
+        tail = np.pad(tail, [(0, 0), (0, tail.shape[1])])
+    else:
+        head = low | high << (1 << (n - 1))
+    words = np.concatenate([head, tail])
+    pivots = np.concatenate([1 | pivots[block] << 1, tail_pivots << 1])
+    words.flags.writeable = pivots.flags.writeable = False
+    return words, pivots
 
 
 def _linear_chunks(n: int, step: int):
     """(packed indicators, profile spectra, profile of each code, member) per chunk.
 
-    Dimension by dimension, up to ``step`` echelon rows at a time of the
-    linear codes of length n are spanned and packed by :func:`_span_words`,
-    in blocks of _SPAN_ENTRIES / 2^n rows.  The weight counts A_w are the
-    popcounts of the words ANDed with the packed points of weight w.  The
-    distinct A, one exact int64 key each (7 bits a weight: A_w <= C(8, 4) <
-    2^7), are the chunk's profiles, with spectra by
-    :func:`linear_weight_spectra`; inv maps codes to profiles, and member(i)
-    rebuilds code i with its context by its position in
-    :func:`enumerate_linear_codes`.
+    Dimension by dimension, :func:`_family_words` of length n cut into chunks
+    of ``step`` codes.  A_w, the popcount of the words ANDed with the packed
+    points of weight w, makes one exact int64 key per code (7 bits a weight:
+    A_w <= C(8, 4) < 2^7); the distinct keys are the chunk's profiles, with
+    spectra by :func:`linear_weight_spectra`.  inv maps codes to profiles,
+    and member(i) rebuilds code i by its place in :func:`enumerate_linear_codes`.
     """
     by_weight = _pack(hamming_weights(n) == np.arange(n + 1)[:, None])
     shifts = 7 * np.arange(n + 1)
-    block = max(1, _SPAN_ENTRIES >> n)
-    for k in range(1, n + 1):
-        rows = _echelon_rows(n, k)
-        for start in range(0, len(rows), step):
-            part = rows[start : start + step]
-            words = np.concatenate([_span_words(part[i : i + block], n)
-                                    for i in range(0, len(part), block)])
+    for k in range(1, n + 1):  # length n built once, not memoized
+        family = _family_words.__wrapped__(n, k)[0]
+        for start in range(0, len(family), step):
+            words = family[start : start + step]
             key = sum(_row_popcounts(words & w) << s for w, s in zip(by_weight, shifts))
             profiles, inv = np.unique(key, return_inverse=True)
             counts = profiles[:, None] >> shifts & 127
@@ -532,9 +534,9 @@ def exhaustive_verify(
 
     mode "all-linear" sweeps every linear code of length n (n <= 8, all
     dimensions), with spectra by MacWilliams from weight counts taken off
-    each chunk's span; mode "random-general" draws ``trials`` >= 0 seeded
-    greedy random codes with random target distances (n <= 12), with
-    spectra from the transform.  Chunk by chunk in one thread, the float
+    each chunk's packed indicators; mode "random-general" draws ``trials``
+    >= 0 seeded greedy random codes with random target distances (n <= 12),
+    with spectra from the transform.  Chunk by chunk in one thread, the float
     checks run once per distinct weight profile at every radius, the exact
     covering headline once per code; ``threads`` changes neither the work
     nor the summary.  Returns the verdict counts; the first failing (code,

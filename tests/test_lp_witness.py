@@ -48,6 +48,7 @@ from cube_spectra.lp_witness import (
     _linear_chunks,
     _pack,
     _premise_ok,
+    _row_popcounts,
 )
 
 
@@ -314,16 +315,72 @@ def test_linear_weight_spectra_match_the_transform_on_every_chunk():
     assert codes == 417_198  # every nonzero subspace of F2^8: the n = 8 sweep's codes
 
 
+def reversed_indicators(codes, n):
+    """_indicators of the codes with their coordinates reversed: x at rev_n(x)."""
+    x = np.arange(1 << n)
+    rev = sum((x >> i & 1) << (n - 1 - i) for i in range(n))
+    return np.ascontiguousarray(_indicators(codes, n)[:, rev])
+
+
 def test_linear_chunks_span_every_code_in_family_order():
+    # a chunk holds its codes with the coordinates reversed
     for n in range(1, 8):
         codes = [(lc.expand(), k)
                  for k in range(1, n + 1) for lc in enumerate_linear_codes(n, k)]
         chunks = list(_linear_chunks(n, 7))  # chunk boundaries inside each dimension
         words = np.concatenate([words for words, *_ in chunks])
-        np.testing.assert_array_equal(words, _pack(_indicators([c for c, _ in codes], n)))
+        np.testing.assert_array_equal(words, _pack(reversed_indicators([c for c, _ in codes], n)))
         if n <= 4:
             members = [member(i) for words, *_, member in chunks for i in range(len(words))]
             assert members == [(c, {"mode": "all-linear", "k": k}) for c, k in codes]
+    # n = 8 in the sweep's chunks: the first and last of each dimension.  Their
+    # codes are those of enumerate_linear_codes, built as it builds them from
+    # the echelon rows (whose order test_codes pins at n = 8): running the
+    # generator up to each last chunk would cost seconds
+    step = _LINEAR_CHUNK_ENTRIES >> 8
+    chunks = _linear_chunks(8, step)
+    for k in range(1, 9):
+        rows = _echelon_rows(8, k)
+        for i in range(-(-len(rows) // step)):
+            words = next(chunks)[0]
+            if i in (0, (len(rows) - 1) // step):
+                part = [LinearCode(8, tuple(g)) for g in rows[i * step : (i + 1) * step].tolist()]
+                want = _pack(reversed_indicators([lc.expand() for lc in part], 8))
+                np.testing.assert_array_equal(words, want)
+    assert next(chunks, None) is None
+
+
+def test_covered_and_weight_counts_survive_coordinate_reversal():
+    # the sweep's packed layout reverses the coordinates, an isometry of the cube
+    rng = np.random.default_rng(14)
+    codes = [lc.expand() for n in range(1, 6) for k in range(1, n + 1)
+             for lc in enumerate_linear_codes(n, k)]
+    for seed in range(200):
+        n = int(rng.integers(1, 13))
+        codes.append(random_code(n, int(rng.integers(1, n + 1)), seed))
+    for n in range(1, 13):
+        stack = [c for c in codes if c.n == n]
+        assert stack, n
+        by_weight = _pack(hamming_weights(n) == np.arange(n + 1)[:, None])
+        counts = []
+        for words in (_pack(_indicators(stack, n)), _pack(reversed_indicators(stack, n))):
+            weights = np.stack([_row_popcounts(words & w) for w in by_weight], axis=1)
+            counts.append(np.concatenate([_covered_counts(words, n, n), weights], axis=1))
+        np.testing.assert_array_equal(*counts)
+
+
+def test_sweep_memoizes_only_the_shorter_family_lengths():
+    # a memoized n = 8 top level would stay resident, about 13 MB
+    cached = lp_witness._family_words
+    cached.cache_clear()
+    try:
+        exhaustive_verify(8, "all-linear")
+        for k in range(1, 9):  # one miss each: (8, k) absent, its (7, *) parents present
+            misses = cached.cache_info().misses
+            cached(8, k)
+            assert cached.cache_info().misses == misses + 1, k
+    finally:
+        cached.cache_clear()
 
 
 def test_weight_counts_fit_the_seven_bit_profile_key():
@@ -597,8 +654,8 @@ def test_results_do_not_depend_on_chunk_boundaries(monkeypatch, n, mode, kwargs)
 
 
 def test_all_linear_sweep_memory_stays_small():
-    # a sweep's peak shows in the benchmark's peak RSS: 2,048 codes per chunk
-    # at n = 7, checked once per distinct weight profile, trace about 1.5 MiB
+    # a sweep's peak shows in the benchmark's peak RSS: 8,192 codes per chunk
+    # at n = 7, checked once per distinct weight profile, trace about 1.55 MiB
     exhaustive_verify(7, "all-linear")
     tracemalloc.start()
     try:

@@ -28,17 +28,17 @@ exact distance distribution P and the dual weight sums T, P = K T / 2^n by
 MacWilliams (:func:`weight_spectra`).  For a linear code the transform of
 1_C is |C| times the dual's indicator, so both follow from the n+1 weight
 counts A: P = |C| A and T = |C| A K^T (:func:`linear_weight_spectra`, the
-all-linear sweep's route, which counts A off the packed indicators).  phi's
-ratio is sum(P) / P_0:
+all-linear sweep's route, with A from the coset weight counts that the
+family recursion carries).  phi's ratio is sum(P) / P_0:
 
     size:      mean(F) = sqrt(|C|/2^n) fhat_0,  mean(F^2) = 2^-n sum P_w fhat_w^2
     covering:  mean(F) = (|C|/2^n) fhat_0,      mean(F^2) = 4^-n sum T_w fhat_w^2
 
-All radii are one matrix product.  A family runs in chunks of codes held as
-bit-packed indicators (the linear family built by recursion in reversed
-coordinates), the float checks once per distinct weight profile and only
-the exact covering count per code, by dilations of the packed indicators.
-An explicit subset B runs the same sums over all 2^n points.
+All radii are one matrix product.  A family runs in chunks, the float
+checks once per distinct weight profile and only the exact covering count
+per code: |C| times the cosets with a leader within r for a linear code,
+dilations of the bit-packed indicator for any other.  An explicit subset B
+runs the same sums over all 2^n points.
 
 Reports never silently skip: an unmet premise is a verdict, and a violated
 inequality on valid inputs signals an implementation bug and is raised
@@ -82,7 +82,6 @@ from .cube_fourier import (
     DEFAULT_TOL,
     convolve,
     essential_support_size,
-    hamming_weights,
     inverse_wht,
     krawtchouk,
     sweep_dimension_cap,
@@ -209,19 +208,6 @@ def _pack(mask: np.ndarray) -> np.ndarray:
     return np.pad(packed, [(0, 0), (0, -packed.shape[-1] % 8)]).view("<u8")
 
 
-def _row_popcounts(words: np.ndarray) -> np.ndarray:
-    """int64 number of set bits in each row of packed words.
-
-    Each row is folded in halves (a row is a power of two words long).  A
-    sweep's rows hold one to four words, where a strided add or two is
-    several times cheaper than a sum over so short an axis.
-    """
-    counts = np.bitwise_count(words).astype(np.int64)
-    while counts.shape[1] > 1:
-        counts = counts[:, ::2] + counts[:, 1::2]
-    return counts[:, 0]
-
-
 def _flip(words: np.ndarray, i: int) -> np.ndarray:
     """Packed words with index bit i < n of every point flipped."""
     if i < 6:  # shift and mask inside each word; low: the bits j with bit i of j clear
@@ -234,12 +220,12 @@ def _flip(words: np.ndarray, i: int) -> np.ndarray:
 def _covered_counts(words: np.ndarray, n: int, r_max: int) -> np.ndarray:
     """covered[c, r]: exact number of points within distance r of code c.
 
-    words are packed indicators, as by :func:`_pack` in any coordinate order;
-    a dilation ORs in each :func:`_flip`.  Once every row covers the cube,
-    the remaining radii are 2^n without further dilations.
+    words are packed indicators, as by :func:`_pack`; a dilation ORs in each
+    :func:`_flip`, and once every row covers the cube the remaining radii are
+    2^n.  The all-linear sweep counts coset leaders instead (:func:`_linear_chunks`).
     """
     counts = np.empty((len(words), r_max + 1), dtype=np.int64)
-    counts[:, 0] = _row_popcounts(words)
+    counts[:, 0] = np.bitwise_count(words).sum(axis=1)
     for r in range(1, r_max + 1):
         if (counts[:, r - 1] == 1 << n).all():
             counts[:, r:] = 1 << n
@@ -248,7 +234,7 @@ def _covered_counts(words: np.ndarray, n: int, r_max: int) -> np.ndarray:
         for i in range(n):
             out |= _flip(words, i)
         words = out
-        counts[:, r] = _row_popcounts(words)
+        counts[:, r] = np.bitwise_count(words).sum(axis=1)
     return counts
 
 
@@ -440,65 +426,77 @@ def check_covering(
 
 # --- exhaustive driver ------------------------------------------------------------
 
-# Codes per chunk times 2^n: bounds the working set of one chunk's arrays.
-# A random-general chunk is drawn as it runs and holds the int64 transform, 8
-# bytes a point.  A linear chunk is cut from its dimension's packed words, a
-# bit a point, and runs its float checks on its distinct weight profiles only,
-# so it takes sixteen times the codes (8,192 at n = 7, whose sweep traces
-# about 1.55 MiB).
+# Entries per chunk, bounding the working set of one chunk's arrays.  A
+# random-general chunk holds 2^16 / 2^n codes, drawn as it runs, and their
+# int64 transform, 8 bytes a point.  A linear chunk holds whole parent blocks
+# of :func:`_coset_keys` whose codes have at most 2^16 cosets in all, a leader
+# weight each (a warm n = 7 sweep traces about 1.3 MiB).
 _CHUNK_ENTRIES = 1 << 16
-_LINEAR_CHUNK_ENTRIES = 1 << 20
+_COSET_ENTRIES = 1 << 16
 
 
 @lru_cache(maxsize=None)
-def _family_words(n: int, k: int):
-    """(words, pivots) of the k-dim linear codes of length n, in family order.
+def _coset_keys(n: int, k: int) -> np.ndarray:
+    """(codes, 2^(n-k)) int64 coset weight counts of E(n, k), in family order.
 
-    Packed as by :func:`_pack` with coordinates reversed, point x at index
-    rev_n(x) (an isometry of the cube); pivots are uint8 bit masks, n <= 8.
-    As in :func:`codes._echelon_recursion` on coordinate 0, now the top index
-    bit, C' of E(n-1, k-1) gives C' | C' + s for each submask s of its
-    non-pivot columns in increasing order, C' of E(n-1, k) gives C' | 0.
+    Entry z of a row is sum_w A_w << 7w, A_w the words of weight w in the
+    coset z + C (7 bits a weight: A_w <= C(8, 4) < 2^7), z the part of the
+    coset on the non-pivot columns, bit j on the j-th lowest; entry 0 counts
+    C itself.  As in :func:`codes._echelon_recursion` on column 0: C' of
+    E(n-1, k-1) gives C' | C' + t for each submask t of its non-pivot columns
+    in increasing order, K[z] = K'[z] + K'[z ^ t] << 7, and C' of E(n-1, k)
+    gives C' | 0, column 0 free, K[b | z << 1] = K'[z] << 7b.
     """
-    width = max(1, (1 << n) >> 6)
-    if k == 0 or k > n:  # the zero code alone, or none
-        return np.eye(int(k == 0), width, dtype=np.uint64), np.zeros(int(k == 0), np.uint8)
-    (sub, pivots), (tail, tail_pivots) = _family_words(n - 1, k - 1), _family_words(n - 1, k)
-    block, s = np.nonzero(np.arange(1 << (n - 1)) & pivots[:, None] == 0)
-    low = high = sub[block]
-    for i in range(n - 1):
-        high = np.where((s >> i & 1).astype(bool)[:, None], _flip(high, n - 2 - i), high)
-    if n > 6:
-        head = np.concatenate([low, high], axis=1)
-        tail = np.pad(tail, [(0, 0), (0, tail.shape[1])])
-    else:
-        head = low | high << (1 << (n - 1))
-    words = np.concatenate([head, tail])
-    pivots = np.concatenate([1 | pivots[block] << 1, tail_pivots << 1])
-    words.flags.writeable = pivots.flags.writeable = False
-    return words, pivots
+    if n == 0:  # the zero code of F2^0: one word, of weight 0
+        return np.ones((1, 1), dtype=np.int64)
+    parts = []
+    if k:
+        sub = _coset_keys(n - 1, k - 1)
+        z = np.arange(sub.shape[1])
+        parts.append((sub[:, None, :] + (sub[:, z ^ z[:, None]] << 7)).reshape(-1, len(z)))
+    if k < n:
+        sub = _coset_keys(n - 1, k)
+        parts.append(np.stack([sub, sub << 7], axis=-1).reshape(len(sub), -1))
+    keys = np.concatenate(parts)
+    keys.flags.writeable = False
+    return keys
 
 
-def _linear_chunks(n: int, step: int):
-    """(packed indicators, profile spectra, profile of each code, member) per chunk.
+def _linear_chunks(n: int, budget: int):
+    """(covered counts, profile spectra, profile of each code, member) per chunk.
 
-    Dimension by dimension, :func:`_family_words` of length n cut into chunks
-    of ``step`` codes.  A_w, the popcount of the words ANDed with the packed
-    points of weight w, makes one exact int64 key per code (7 bits a weight:
-    A_w <= C(8, 4) < 2^7); the distinct keys are the chunk's profiles, with
-    spectra by :func:`linear_weight_spectra`.  inv maps codes to profiles,
-    and member(i) rebuilds code i by its place in :func:`enumerate_linear_codes`.
+    E(n, k) is never built: a chunk is whole parent blocks of
+    :func:`_coset_keys` of length n - 1, at most ``budget`` cosets in all.
+    A code's key is that of coset 0, and covered(r) is |C| times its cosets
+    whose leader weight (the lowest nonzero field of the key) is at most r:
+    min(L'[z], 1 + L'[z ^ t]) for a head code, L'[z] and 1 + L'[z] for a
+    tail code.  The distinct keys are the chunk's profiles, with spectra by
+    :func:`linear_weight_spectra`; inv maps codes to profiles, and member(i)
+    rebuilds code i by its place in :func:`enumerate_linear_codes`.
     """
-    by_weight = _pack(hamming_weights(n) == np.arange(n + 1)[:, None])
     shifts = 7 * np.arange(n + 1)
-    for k in range(1, n + 1):  # length n built once, not memoized
-        family = _family_words.__wrapped__(n, k)[0]
-        for start in range(0, len(family), step):
-            words = family[start : start + step]
-            key = sum(_row_popcounts(words & w) << s for w, s in zip(by_weight, shifts))
-            profiles, inv = np.unique(key, return_inverse=True)
-            counts = profiles[:, None] >> shifts & 127
-            yield words, linear_weight_spectra(counts), inv, partial(_linear_member, n, k, start)
+    for k in range(1, n + 1):
+        q, start = 1 << (n - k), 0  # cosets a code
+        z = np.arange(q)
+        for head in (True, False) if k < n else (True,):
+            parents = _coset_keys(n - 1, k - head)
+            step = max(1, budget // (q * q if head else q))
+            for part in (parents[i : i + step] for i in range(0, len(parents), step)):
+                lead = np.bitwise_count((part & -part) - 1) // 7
+                if head:
+                    key = (part[:, :1] + (part << 7)).ravel()
+                    lead = np.minimum(lead[:, None, :], 1 + lead[:, z ^ z[:, None]])
+                else:
+                    key, lead = part[:, 0], np.stack([lead, lead + 1], axis=-1)
+                bins = (n + 1) * np.arange(len(key))  # code i counts in bins[i] + 0..n
+                covered = np.bincount((lead.reshape(len(key), q) + bins[:, None]).ravel(),
+                                      minlength=(n + 1) * len(key)).reshape(-1, n + 1)
+                np.cumsum(covered, axis=1, out=covered)  # in place, for the peak RSS
+                covered <<= k
+                profiles, inv = np.unique(key, return_inverse=True)
+                spectra = linear_weight_spectra(profiles[:, None] >> shifts & 127)
+                yield covered, spectra, inv, partial(_linear_member, n, k, start)
+                start += len(key)
 
 
 def _linear_member(n: int, k: int, start: int, i: int):
@@ -507,7 +505,7 @@ def _linear_member(n: int, k: int, start: int, i: int):
 
 
 def _random_chunks(n: int, contexts, step: int):
-    """(packed indicators, spectra, profile of each code, member) per chunk of random codes.
+    """(covered counts, spectra, profile of each code, member) per chunk of random codes.
 
     Each code is its own profile; member(i) draws code i again from its
     context, so a chunk keeps no codes.
@@ -515,7 +513,8 @@ def _random_chunks(n: int, contexts, step: int):
     for part in iter(lambda: list(itertools.islice(contexts, step)), []):
         member = partial(_random_member, n, part)
         mask = _indicators([member(i)[0] for i in range(len(part))], n)
-        yield _pack(mask), weight_spectra(mask), np.arange(len(mask)), member
+        covered = _covered_counts(_pack(mask), n, n)
+        yield covered, weight_spectra(mask), np.arange(len(mask)), member
 
 
 def _random_member(n: int, contexts: list, i: int):
@@ -533,10 +532,11 @@ def exhaustive_verify(
     """Run both checks over a code family at every radius; abort on violation.
 
     mode "all-linear" sweeps every linear code of length n (n <= 8, all
-    dimensions), with spectra by MacWilliams from weight counts taken off
-    each chunk's packed indicators; mode "random-general" draws ``trials``
-    >= 0 seeded greedy random codes with random target distances (n <= 12),
-    with spectra from the transform.  Chunk by chunk in one thread, the float
+    dimensions), with spectra by MacWilliams and covered counts by coset
+    leaders, both from the coset weight counts of :func:`_coset_keys`; mode
+    "random-general" draws ``trials`` >= 0 seeded greedy random codes with
+    random target distances (n <= 12), with spectra from the transform and
+    covered counts by dilation.  Chunk by chunk in one thread, the float
     checks run once per distinct weight profile at every radius, the exact
     covering headline once per code; ``threads`` changes neither the work
     nor the summary.  Returns the verdict counts; the first failing (code,
@@ -548,7 +548,7 @@ def exhaustive_verify(
     if mode == "all-linear":
         if not 1 <= n <= 8:
             raise ValueError(f"all-linear mode supports 1 <= n <= 8, got {n}")
-        chunks = _linear_chunks(n, max(1, _LINEAR_CHUNK_ENTRIES >> n))
+        chunks = _linear_chunks(n, _COSET_ENTRIES)
     elif mode == "random-general":
         if not 1 <= n <= 12:
             raise ValueError(f"random-general mode supports 1 <= n <= 12, got {n}")
@@ -563,8 +563,8 @@ def exhaustive_verify(
 
     lam, ess_f, b_size = _ball_table(n)[:3]
     count = holds = 0
-    for words, spectra, inv, member in chunks:
-        count += len(words)
+    for covered, spectra, inv, member in chunks:
+        count += len(covered)
         d, ef, ef_sq, phi_ratio = _ball_moments(spectra, n, n)
         premise = _premise_ok(n, d[:, None, :], lam[:, None], tol)  # (profile, r, prop)
         m = np.maximum(n, 2 * d)  # (profile, prop)
@@ -574,8 +574,8 @@ def exhaustive_verify(
                                    ef[..., k], ef_sq[..., k], phi_ratio[:, None], None, tol)
             ok.append(reduce(np.logical_and, checks.values()))
         failed = premise & ~np.stack(ok, axis=-1)  # (profile, r, prop)
-        # the exact covering headline, the only check made per code
-        short = premise[inv, :, 1] & (_covered_counts(words, n, n) * m[inv, 1, None] < 1 << n)
+        # the exact covering headline, once per code: covered * m < 2^n, with no product
+        short = premise[inv, :, 1] & (covered < -(-(1 << n) // m[inv, 1, None]))
         if failed.any() or short.any():
             failed = failed[inv]  # (code, r, prop)
             failed[..., 1] |= short

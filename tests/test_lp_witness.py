@@ -37,18 +37,18 @@ from cube_spectra import (
 from cube_spectra import lp_witness
 from cube_spectra.codes import _echelon_rows, linear_weight_spectra, weight_spectra
 from cube_spectra.lp_witness import (
-    _LINEAR_CHUNK_ENTRIES,
+    _COSET_ENTRIES,
     PROP_COVERING,
     PROP_SIZE,
     VERDICT_HOLDS,
     _ball_moments,
     _ball_table,
+    _coset_keys,
     _covered_counts,
     _indicators,
     _linear_chunks,
     _pack,
     _premise_ok,
-    _row_popcounts,
 )
 
 
@@ -289,30 +289,110 @@ def test_covered_counts_stop_once_every_row_covers_the_cube():
             assert got.tolist() == [row[: r_max + 1] for row in oracle], (stack, r_max)
 
 
-def test_linear_weight_spectra_match_the_transform_on_every_chunk():
-    # n = 8 costs seconds through the butterfly: there only the first and
-    # last chunk of each dimension
-    for n in range(1, 9):
-        step = max(1, _LINEAR_CHUNK_ENTRIES >> n)
-        per_k = np.array([-(-len(_echelon_rows(n, k)) // step) for k in range(1, n + 1)])
-        ends = np.cumsum(per_k)
-        wanted = set((ends - 1).tolist()) | set((ends - per_k).tolist())
-        checked = codes = 0
-        for i, (words, (pairs, sums), inv, _) in enumerate(_linear_chunks(n, step)):
-            codes += len(words)
-            # one row per distinct weight profile: A = P / |C|, |C| = P_0
-            profiles = pairs // pairs[:, :1]
-            assert len(np.unique(profiles, axis=0)) == len(profiles) == inv.max() + 1
-            np.testing.assert_array_equal(linear_weight_spectra(profiles), (pairs, sums))
-            if n == 8 and i not in wanted:
-                continue
-            mask = np.unpackbits(words.view(np.uint8), axis=-1, count=1 << n, bitorder="little")
-            for got, want in zip((pairs[inv], sums[inv]), weight_spectra(mask)):
-                assert got.dtype == want.dtype == np.int64
-                np.testing.assert_array_equal(got, want)
+def packed_weight_counts(words, n):
+    """Weight counts of packed indicators: popcounts of the words masked by each weight."""
+    by_weight = _pack(hamming_weights(n) == np.arange(n + 1)[:, None])
+    return np.stack([np.bitwise_count(words & w).sum(axis=1) for w in by_weight], axis=1)
+
+
+def packed_counts(codes, n):
+    """(covered counts, weight counts, (P, T)) of the codes by the packed path."""
+    mask = _indicators(codes, n)
+    words = _pack(mask)
+    return _covered_counts(words, n, n), packed_weight_counts(words, n), weight_spectra(mask)
+
+
+def nearest_codeword_counts(codes, n):
+    """naive_covered_counts of codes of one size, a slice of codes at a time."""
+    points = np.array([c.points for c in codes], dtype=np.uint64)
+    cube = np.arange(1 << n, dtype=np.uint64)
+    step = max(1, (1 << 18) // (points.shape[1] << n))
+    counts = []
+    for part in (points[i : i + step] for i in range(0, len(points), step)):
+        nearest = np.bitwise_count(part[:, :, None] ^ cube).min(axis=1)
+        counts.append((nearest[:, :, None] <= np.arange(n + 1)).sum(axis=1))
+    return np.concatenate(counts)
+
+
+def check_linear_chunk(chunk, codes, n):
+    """A chunk's covered counts, weight counts and spectra, code by code."""
+    covered, (pairs, sums), inv, _ = chunk
+    # one row per distinct weight profile: A = P / |C|, |C| = P_0
+    profiles = pairs // pairs[:, :1]
+    assert len(np.unique(profiles, axis=0)) == len(profiles) == inv.max() + 1
+    np.testing.assert_array_equal(linear_weight_spectra(profiles), (pairs, sums))
+    assert len(covered) == len(inv) == len(codes)
+    want_covered, want_weights, want_spectra = packed_counts(codes, n)
+    assert covered.dtype == np.int64
+    assert covered.tolist() == want_covered.tolist()
+    np.testing.assert_array_equal(covered, nearest_codeword_counts(codes, n))
+    if n <= 6:
+        assert covered.tolist() == [naive_covered_counts(c.points, n) for c in codes]
+    np.testing.assert_array_equal(profiles[inv], want_weights)
+    for got, want in zip((pairs[inv], sums[inv]), want_spectra):
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
+def test_linear_chunks_count_every_code_in_family_order():
+    # one parent block a chunk, and the sweep's chunks
+    for n in range(1, 8):
+        codes = [(lc.expand(), k) for k in range(1, n + 1) for lc in enumerate_linear_codes(n, k)]
+        for budget in (1, _COSET_ENTRIES)[n // 7 :]:
+            start = 0
+            members = []
+            for chunk in _linear_chunks(n, budget):
+                part = codes[start : start + len(chunk[0])]
+                check_linear_chunk(chunk, [c for c, _ in part], n)
+                if n <= 4:
+                    members += [chunk[3](i) for i in range(len(part))]
+                start += len(part)
+            assert start == len(codes), (n, budget)
+            if n <= 4:
+                assert members == [(c, {"mode": "all-linear", "k": k}) for c, k in codes]
+    # n = 8 in the sweep's chunks: the first and last of each dimension.  Their
+    # codes are those of enumerate_linear_codes, built as it builds them from
+    # the echelon rows (whose order test_codes pins at n = 8): running the
+    # generator up to each last chunk would cost seconds
+    chunks = _linear_chunks(8, _COSET_ENTRIES)
+    checked = total = 0
+    for k in range(1, 9):
+        rows, ends, start = _echelon_rows(8, k), [], 0
+        while start < len(rows):
+            chunk = next(chunks)
+            if not ends or start + len(chunk[0]) == len(rows):
+                ends.append((start, chunk))
+            start += len(chunk[0])
+        assert start == len(rows), k
+        total += start
+        for start, chunk in ends:
+            part = rows[start : start + len(chunk[0])].tolist()
+            check_linear_chunk(chunk, [LinearCode(8, tuple(g)).expand() for g in part], 8)
             checked += 1
-        assert checked == (len(wanted) if n == 8 else ends[-1])
-    assert codes == 417_198  # every nonzero subspace of F2^8: the n = 8 sweep's codes
+    assert next(chunks, None) is None
+    assert checked == 15 and total == 417_198  # every nonzero subspace of F2^8
+
+
+def test_coset_keys_match_brute_force_cosets():
+    # every coset of every code with n <= 5: the weight counts of z + C, with
+    # z on the non-pivot columns (bit j on the j-th lowest), and its leader
+    # weight as the sweep reads it off the key
+    for n in range(1, 6):
+        for k in range(n + 1):
+            family = [LinearCode(n, ())] if k == 0 else list(enumerate_linear_codes(n, k))
+            keys = _coset_keys(n, k)
+            assert keys.shape == (len(family), 1 << (n - k)) and keys.dtype == np.int64
+            lead = np.bitwise_count((keys & -keys) - 1) // 7
+            for lc, row, row_lead in zip(family, keys.tolist(), lead.tolist()):
+                words = lc.expand().points
+                pivots = {(g & -g).bit_length() - 1 for g in lc.generators}
+                free = [i for i in range(n) if i not in pivots]
+                for z in range(1 << (n - k)):
+                    v = sum(1 << col for j, col in enumerate(free) if z >> j & 1)
+                    weights = [bin(v ^ c).count("1") for c in words]
+                    counts = [weights.count(w) for w in range(n + 1)]
+                    assert row[z] == sum(a << 7 * w for w, a in enumerate(counts)), (n, k, z)
+                    assert row_lead[z] == min(weights), (n, k, z)
 
 
 def reversed_indicators(codes, n):
@@ -322,36 +402,8 @@ def reversed_indicators(codes, n):
     return np.ascontiguousarray(_indicators(codes, n)[:, rev])
 
 
-def test_linear_chunks_span_every_code_in_family_order():
-    # a chunk holds its codes with the coordinates reversed
-    for n in range(1, 8):
-        codes = [(lc.expand(), k)
-                 for k in range(1, n + 1) for lc in enumerate_linear_codes(n, k)]
-        chunks = list(_linear_chunks(n, 7))  # chunk boundaries inside each dimension
-        words = np.concatenate([words for words, *_ in chunks])
-        np.testing.assert_array_equal(words, _pack(reversed_indicators([c for c, _ in codes], n)))
-        if n <= 4:
-            members = [member(i) for words, *_, member in chunks for i in range(len(words))]
-            assert members == [(c, {"mode": "all-linear", "k": k}) for c, k in codes]
-    # n = 8 in the sweep's chunks: the first and last of each dimension.  Their
-    # codes are those of enumerate_linear_codes, built as it builds them from
-    # the echelon rows (whose order test_codes pins at n = 8): running the
-    # generator up to each last chunk would cost seconds
-    step = _LINEAR_CHUNK_ENTRIES >> 8
-    chunks = _linear_chunks(8, step)
-    for k in range(1, 9):
-        rows = _echelon_rows(8, k)
-        for i in range(-(-len(rows) // step)):
-            words = next(chunks)[0]
-            if i in (0, (len(rows) - 1) // step):
-                part = [LinearCode(8, tuple(g)) for g in rows[i * step : (i + 1) * step].tolist()]
-                want = _pack(reversed_indicators([lc.expand() for lc in part], 8))
-                np.testing.assert_array_equal(words, want)
-    assert next(chunks, None) is None
-
-
 def test_covered_and_weight_counts_survive_coordinate_reversal():
-    # the sweep's packed layout reverses the coordinates, an isometry of the cube
+    # reversing the coordinates, an isometry of the cube, changes no count of the packed path
     rng = np.random.default_rng(14)
     codes = [lc.expand() for n in range(1, 6) for k in range(1, n + 1)
              for lc in enumerate_linear_codes(n, k)]
@@ -361,30 +413,44 @@ def test_covered_and_weight_counts_survive_coordinate_reversal():
     for n in range(1, 13):
         stack = [c for c in codes if c.n == n]
         assert stack, n
-        by_weight = _pack(hamming_weights(n) == np.arange(n + 1)[:, None])
         counts = []
         for words in (_pack(_indicators(stack, n)), _pack(reversed_indicators(stack, n))):
-            weights = np.stack([_row_popcounts(words & w) for w in by_weight], axis=1)
+            weights = packed_weight_counts(words, n)
             counts.append(np.concatenate([_covered_counts(words, n, n), weights], axis=1))
         np.testing.assert_array_equal(*counts)
 
 
-def test_sweep_memoizes_only_the_shorter_family_lengths():
-    # a memoized n = 8 top level would stay resident, about 13 MB
-    cached = lp_witness._family_words
-    cached.cache_clear()
+def test_sweep_memoizes_only_the_shorter_coset_tables():
+    # a memoized n = 8 top level would stay resident, about 60 MB
+    _coset_keys.cache_clear()
     try:
         exhaustive_verify(8, "all-linear")
-        for k in range(1, 9):  # one miss each: (8, k) absent, its (7, *) parents present
-            misses = cached.cache_info().misses
-            cached(8, k)
-            assert cached.cache_info().misses == misses + 1, k
+        info = _coset_keys.cache_info()  # each (n', k'), n' <= 7, built once; none of length 8
+        assert info.currsize == info.misses == sum(range(1, 9))
+        for k in range(8):
+            _coset_keys(7, k)
+        assert _coset_keys.cache_info().hits == info.hits + 8
+        assert _coset_keys.cache_info().misses == info.misses
     finally:
-        cached.cache_clear()
+        _coset_keys.cache_clear()
+
+
+def test_all_linear_sweep_of_length_8_memory_stays_small():
+    # a cold sweep builds the coset tables of length 7, about 3 MB, and cuts
+    # those of length 8 from them a chunk at a time
+    _coset_keys.cache_clear()
+    _ball_table.cache_clear()
+    tracemalloc.start()
+    try:
+        exhaustive_verify(8, "all-linear")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_weight_counts_fit_the_seven_bit_profile_key():
-    # _linear_chunks packs A_w <= C(n, w) into 7 bits a weight, n <= 8; the
+    # _coset_keys packs A_w <= C(n, w) into 7 bits a weight, n <= 8; the
     # largest counts must give the exact key, with no int64 overflow
     for n in range(1, 9):
         top = [math.comb(n, w) for w in range(n + 1)]
@@ -645,11 +711,9 @@ def test_results_do_not_depend_on_chunk_boundaries(monkeypatch, n, mode, kwargs)
     violation = first_violation(n, mode, **kwargs)
     for codes_per_chunk in (1, 7):
         with monkeypatch.context() as m:
-            for name in ("_CHUNK_ENTRIES", "_LINEAR_CHUNK_ENTRIES"):
+            for name in ("_CHUNK_ENTRIES", "_COSET_ENTRIES"):
                 m.setattr(lp_witness, name, codes_per_chunk << n)
-            # one-code chunks cost 13 s over the 29,211 codes of n = 7
-            if (n, codes_per_chunk) != (7, 1):
-                assert exhaustive_verify(n, mode, **kwargs) == summary
+            assert exhaustive_verify(n, mode, **kwargs) == summary
             assert first_violation(n, mode, **kwargs) == violation
 
 

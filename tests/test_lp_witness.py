@@ -295,13 +295,6 @@ def packed_weight_counts(words, n):
     return np.stack([np.bitwise_count(words & w).sum(axis=1) for w in by_weight], axis=1)
 
 
-def packed_counts(codes, n):
-    """(covered counts, weight counts, (P, T)) of the codes by the packed path."""
-    mask = _indicators(codes, n)
-    words = _pack(mask)
-    return _covered_counts(words, n, n), packed_weight_counts(words, n), weight_spectra(mask)
-
-
 def nearest_codeword_counts(codes, n):
     """naive_covered_counts of codes of one size, a slice of codes at a time."""
     points = np.array([c.points for c in codes], dtype=np.uint64)
@@ -314,48 +307,26 @@ def nearest_codeword_counts(codes, n):
     return np.concatenate(counts)
 
 
-def check_linear_chunk(chunk, codes, n):
-    """A chunk's covered counts, weight counts and spectra, code by code."""
-    covered, (pairs, sums), inv, _ = chunk
-    # one row per distinct weight profile: A = P / |C|, |C| = P_0
-    profiles = pairs // pairs[:, :1]
-    assert len(np.unique(profiles, axis=0)) == len(profiles) == inv.max() + 1
-    np.testing.assert_array_equal(linear_weight_spectra(profiles), (pairs, sums))
-    assert len(covered) == len(inv) == len(codes)
-    want_covered, want_weights, want_spectra = packed_counts(codes, n)
-    assert covered.dtype == np.int64
-    assert covered.tolist() == want_covered.tolist()
-    np.testing.assert_array_equal(covered, nearest_codeword_counts(codes, n))
-    if n <= 6:
-        assert covered.tolist() == [naive_covered_counts(c.points, n) for c in codes]
-    np.testing.assert_array_equal(profiles[inv], want_weights)
-    for got, want in zip((pairs[inv], sums[inv]), want_spectra):
-        assert got.dtype == want.dtype == np.int64
-        np.testing.assert_array_equal(got, want)
+def linear_chunks_with_codes():
+    """(n, chunk, [(code, k)]) for the chunks of _linear_chunks, in family order.
 
-
-def test_linear_chunks_count_every_code_in_family_order():
-    # one parent block a chunk, and the sweep's chunks
+    n <= 7: every chunk, at one parent block a chunk and at the sweep's budget.
+    n = 8: the sweep's first and last chunk of each dimension.
+    """
     for n in range(1, 8):
         codes = [(lc.expand(), k) for k in range(1, n + 1) for lc in enumerate_linear_codes(n, k)]
         for budget in (1, _COSET_ENTRIES)[n // 7 :]:
             start = 0
-            members = []
             for chunk in _linear_chunks(n, budget):
                 part = codes[start : start + len(chunk[0])]
-                check_linear_chunk(chunk, [c for c, _ in part], n)
-                if n <= 4:
-                    members += [chunk[3](i) for i in range(len(part))]
+                yield n, chunk, part
                 start += len(part)
             assert start == len(codes), (n, budget)
-            if n <= 4:
-                assert members == [(c, {"mode": "all-linear", "k": k}) for c, k in codes]
-    # n = 8 in the sweep's chunks: the first and last of each dimension.  Their
-    # codes are those of enumerate_linear_codes, built as it builds them from
-    # the echelon rows (whose order test_codes pins at n = 8): running the
-    # generator up to each last chunk would cost seconds
+    # the n = 8 codes are those of enumerate_linear_codes, built as it builds
+    # them from the echelon rows (whose order test_codes pins at n = 8):
+    # running the generator up to each last chunk would cost seconds
     chunks = _linear_chunks(8, _COSET_ENTRIES)
-    checked = total = 0
+    total = 0
     for k in range(1, 9):
         rows, ends, start = _echelon_rows(8, k), [], 0
         while start < len(rows):
@@ -367,10 +338,44 @@ def test_linear_chunks_count_every_code_in_family_order():
         total += start
         for start, chunk in ends:
             part = rows[start : start + len(chunk[0])].tolist()
-            check_linear_chunk(chunk, [LinearCode(8, tuple(g)).expand() for g in part], 8)
-            checked += 1
+            yield 8, chunk, [(LinearCode(8, tuple(g)).expand(), k) for g in part]
     assert next(chunks, None) is None
-    assert checked == 15 and total == 417_198  # every nonzero subspace of F2^8
+    assert total == 417_198  # every nonzero subspace of F2^8
+
+
+def test_linear_weight_spectra_match_the_transform_on_every_chunk():
+    checked = 0
+    for n, (_, (pairs, sums), inv, _), part in linear_chunks_with_codes():
+        # one row per distinct weight profile: A = P / |C|, |C| = P_0
+        profiles = pairs // pairs[:, :1]
+        assert len(np.unique(profiles, axis=0)) == len(profiles) == inv.max() + 1
+        np.testing.assert_array_equal(linear_weight_spectra(profiles), (pairs, sums))
+        assert len(inv) == len(part)
+        mask = _indicators([c for c, _ in part], n)
+        np.testing.assert_array_equal(profiles[inv], packed_weight_counts(_pack(mask), n))
+        for got, want in zip((pairs[inv], sums[inv]), weight_spectra(mask)):
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        checked += n == 8
+    assert checked == 15
+
+
+def test_linear_chunks_span_every_code_in_family_order():
+    # covered counts against the packed path and the nearest-codeword oracle
+    checked = 0
+    for n, (covered, _, inv, member), part in linear_chunks_with_codes():
+        codes = [c for c, _ in part]
+        assert len(covered) == len(inv) == len(codes)
+        assert covered.dtype == np.int64
+        assert covered.tolist() == _covered_counts(_pack(_indicators(codes, n)), n, n).tolist()
+        np.testing.assert_array_equal(covered, nearest_codeword_counts(codes, n))
+        if n <= 6:
+            assert covered.tolist() == [naive_covered_counts(c.points, n) for c in codes]
+        if n <= 4:
+            members = [member(i) for i in range(len(part))]
+            assert members == [(c, {"mode": "all-linear", "k": k}) for c, k in part]
+        checked += n == 8
+    assert checked == 15
 
 
 def test_coset_keys_match_brute_force_cosets():

@@ -37,8 +37,8 @@ family recursion carries).  phi's ratio is sum(P) / P_0:
 All radii are one matrix product.  A family runs in chunks, the float
 checks once per distinct weight profile and only the exact covering count
 per code: |C| times the cosets with a leader within r for a linear code,
-dilations of the bit-packed indicator for any other.  An explicit subset B
-runs the same sums over all 2^n points.
+every r in the bytes of one word, dilations of the bit-packed indicator for
+any other.  An explicit subset B runs the same sums over all 2^n points.
 
 Reports never silently skip: an unmet premise is a verdict, and a violated
 inequality on valid inputs signals an implementation bug and is raised
@@ -426,11 +426,10 @@ def check_covering(
 
 # --- exhaustive driver ------------------------------------------------------------
 
-# Entries per chunk, bounding the working set of one chunk's arrays.  A
-# random-general chunk holds 2^16 / 2^n codes, drawn as it runs, and their
-# int64 transform, 8 bytes a point.  A linear chunk holds whole parent blocks
-# of :func:`_coset_keys` whose codes have at most 2^16 cosets in all, a leader
-# weight each (a warm n = 7 sweep traces about 1.3 MiB).
+# Entries per chunk, bounding the working set of one chunk's arrays: 2^16 / 2^n
+# random codes, drawn as it runs, and their int64 transform, or 2^16 / 8 linear
+# codes of any dimensions, 16 bytes each until their int64 covered counts are
+# built, from gathers of 2^15 cosets (a cold n = 7 sweep traces about 1.2 MiB).
 _CHUNK_ENTRIES = 1 << 16
 _COSET_ENTRIES = 1 << 16
 
@@ -465,42 +464,51 @@ def _coset_keys(n: int, k: int) -> np.ndarray:
 def _linear_chunks(n: int, budget: int):
     """(covered counts, profile spectra, profile of each code, member) per chunk.
 
-    E(n, k) is never built: a chunk is whole parent blocks of
-    :func:`_coset_keys` of length n - 1, at most ``budget`` cosets in all.
-    A code's key is that of coset 0, and covered(r) is |C| times its cosets
-    whose leader weight (the lowest nonzero field of the key) is at most r:
-    min(L'[z], 1 + L'[z ^ t]) for a head code, L'[z] and 1 + L'[z] for a
-    tail code.  The distinct keys are the chunk's profiles, with spectra by
-    :func:`linear_weight_spectra`; inv maps codes to profiles, and member(i)
-    rebuilds code i by its place in :func:`enumerate_linear_codes`.
+    E(n, k) is never built: a chunk takes whole parent blocks of
+    :func:`_coset_keys` of length n - 1, of any dimension, up to budget / 8
+    codes (at least one block), in parts that gather at most budget / 2
+    cosets.  A code's key is that of coset 0.  Its cosets add up in byte
+    lanes: a leader weight w is U = 0x0101010101010101 << 8w, byte r 1 when
+    w <= r; a head code's min(L'[z], 1 + L'[z ^ t]) is U[z] | (U << 8)[z ^ t],
+    a tail code's L'[z] and 1 + L'[z] give U[z] + (U << 8)[z].  Byte r of the
+    sum counts the cosets within r (at most 2^7, so no byte carries), and
+    covered(r) is |C| times byte min(r, 7): a nonzero code covers the cube
+    within n - 1.  The distinct keys are the chunk's profiles, with spectra
+    by :func:`linear_weight_spectra`; inv maps codes to profiles, and
+    member(i) rebuilds code i by its place in :func:`enumerate_linear_codes`.
     """
-    shifts = 7 * np.arange(n + 1)
+    cap, keys, sums, first, filled, starts = budget >> 3, [], [], 0, 0, {}
     for k in range(1, n + 1):
-        q, start = 1 << (n - k), 0  # cosets a code
-        z = np.arange(q)
+        q, starts[k] = 1 << (n - k), first + filled  # cosets a code; k's first code
+        z, most = np.arange(q), budget // 2 // q  # codes a part, at most budget / 2 cosets
         for head in (True, False) if k < n else (True,):
-            parents = _coset_keys(n - 1, k - head)
-            step = max(1, budget // (q * q if head else q))
-            for part in (parents[i : i + step] for i in range(0, len(parents), step)):
-                lead = np.bitwise_count((part & -part) - 1) // 7
-                if head:
-                    key = (part[:, :1] + (part << 7)).ravel()
-                    lead = np.minimum(lead[:, None, :], 1 + lead[:, z ^ z[:, None]])
-                else:
-                    key, lead = part[:, 0], np.stack([lead, lead + 1], axis=-1)
-                bins = (n + 1) * np.arange(len(key))  # code i counts in bins[i] + 0..n
-                covered = np.bincount((lead.reshape(len(key), q) + bins[:, None]).ravel(),
-                                      minlength=(n + 1) * len(key)).reshape(-1, n + 1)
-                np.cumsum(covered, axis=1, out=covered)  # in place, for the peak RSS
-                covered <<= k
-                profiles, inv = np.unique(key, return_inverse=True)
-                spectra = linear_weight_spectra(profiles[:, None] >> shifts & 127)
-                yield covered, spectra, inv, partial(_linear_member, n, k, start)
-                start += len(key)
+            parents, per, i = _coset_keys(n - 1, k - head), q if head else 1, 0  # block size
+            while i < len(parents):
+                if keys and filled + per > cap:  # no room for another parent block
+                    yield _linear_chunk(n, keys, sums, starts, first)
+                    keys, sums, first, filled = [], [], first + filled, 0
+                part = parents[i : (i := i + max(1, min(cap - filled, most) // per))]
+                u = np.bitwise_count((part & -part) - 1) // 7 * 8  # 8w, w each leader weight
+                u = np.uint64(0x0101010101010101) << u
+                keys.append((part[:, :1] + (part << 7)).ravel() if head else part[:, 0])
+                sums.append(((u << 8)[:, z ^ z[:, None]] | u[:, None, :] if head
+                             else u + (u << 8)).sum(axis=-1).ravel())
+                filled += len(keys[-1])
+    yield _linear_chunk(n, keys, sums, starts, first)
 
 
-def _linear_member(n: int, k: int, start: int, i: int):
-    lc = next(itertools.islice(enumerate_linear_codes(n, k), start + i, None))
+def _linear_chunk(n: int, keys: list, sums: list, starts: dict, first: int):
+    profiles, inv = np.unique(np.concatenate(keys), return_inverse=True)
+    spectra = linear_weight_spectra(profiles[:, None] >> 7 * np.arange(n + 1) & 127)
+    lanes = np.concatenate(sums).astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    covered = lanes[:, np.minimum(np.arange(n + 1), 7)].astype(np.int64)
+    covered *= spectra[0][inv, :1]  # P_0 = |C|
+    return covered, spectra, inv, partial(_linear_member, n, starts, first)
+
+
+def _linear_member(n: int, starts: dict, first: int, i: int):
+    k = max(k for k, start in starts.items() if start <= first + i)
+    lc = next(itertools.islice(enumerate_linear_codes(n, k), first + i - starts[k], None))
     return lc.expand(), {"mode": "all-linear", "k": k}
 
 
@@ -532,16 +540,17 @@ def exhaustive_verify(
     """Run both checks over a code family at every radius; abort on violation.
 
     mode "all-linear" sweeps every linear code of length n (n <= 8, all
-    dimensions), with spectra by MacWilliams and covered counts by coset
-    leaders, both from the coset weight counts of :func:`_coset_keys`; mode
-    "random-general" draws ``trials`` >= 0 seeded greedy random codes with
-    random target distances (n <= 12), with spectra from the transform and
-    covered counts by dilation.  Chunk by chunk in one thread, the float
-    checks run once per distinct weight profile at every radius, the exact
-    covering headline once per code; ``threads`` changes neither the work
-    nor the summary.  Returns the verdict counts; the first failing (code,
-    radius, proposition) raises :class:`VerificationError` with the
-    single-code check's report in its dump.  ``tol`` must be finite.
+    dimensions, in chunks that span them), with spectra by MacWilliams and
+    covered counts by coset leaders in byte lanes, both from the coset weight
+    counts of :func:`_coset_keys`; mode "random-general" draws ``trials`` >= 0
+    seeded greedy random codes with random target distances (n <= 12), with
+    spectra from the transform and covered counts by dilation.  Chunk by
+    chunk in one thread, the float checks run once per distinct weight
+    profile at every radius, the exact covering headline once per code;
+    ``threads`` changes neither the work nor the summary.  Returns the
+    verdict counts; the first failing (code, radius, proposition) raises
+    :class:`VerificationError` with the single-code check's report in its
+    dump.  ``tol`` must be finite.
     """
     if not np.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
@@ -584,6 +593,7 @@ def exhaustive_verify(
             rep = _check(k, code, r, None, tol)
             raise VerificationError(rep, code, {"seed": seed, **context})
         holds += int(np.bincount(inv) @ premise.sum(axis=(1, 2)))
+        del covered, short  # before the next chunk is built, for the peak RSS
 
     return {
         "mode": mode,

@@ -34,7 +34,8 @@ from cube_spectra import (
     random_code,
     wht,
 )
-from cube_spectra import lp_witness
+from cube_spectra import ball_spectra, bounds, cube_fourier, lp_witness
+from cube_spectra import codes as codes_module
 from cube_spectra.codes import _echelon_rows, linear_weight_spectra, weight_spectra
 from cube_spectra.lp_witness import (
     _COSET_ENTRIES,
@@ -296,22 +297,27 @@ def packed_weight_counts(words, n):
 
 
 def nearest_codeword_counts(codes, n):
-    """naive_covered_counts of codes of one size, a slice of codes at a time."""
-    points = np.array([c.points for c in codes], dtype=np.uint64)
+    """naive_covered_counts of codes, a slice of the codes of one size at a time."""
     cube = np.arange(1 << n, dtype=np.uint64)
-    step = max(1, (1 << 18) // (points.shape[1] << n))
-    counts = []
-    for part in (points[i : i + step] for i in range(0, len(points), step)):
-        nearest = np.bitwise_count(part[:, :, None] ^ cube).min(axis=1)
-        counts.append((nearest[:, :, None] <= np.arange(n + 1)).sum(axis=1))
-    return np.concatenate(counts)
+    counts = np.empty((len(codes), n + 1), dtype=np.int64)
+    for size in {c.size for c in codes}:
+        rows = [i for i, c in enumerate(codes) if c.size == size]
+        points = np.array([codes[i].points for i in rows], dtype=np.uint64)
+        step = max(1, (1 << 18) // (size << n))
+        for i in range(0, len(rows), step):
+            nearest = np.bitwise_count(points[i : i + step, :, None] ^ cube).min(axis=1)
+            counts[rows[i : i + step]] = (nearest[:, :, None] <= np.arange(n + 1)).sum(axis=1)
+    return counts
 
 
 def linear_chunks_with_codes():
     """(n, chunk, [(code, k)]) for the chunks of _linear_chunks, in family order.
 
-    n <= 7: every chunk, at one parent block a chunk and at the sweep's budget.
-    n = 8: the sweep's first and last chunk of each dimension.
+    Chunks span dimensions, so each is placed by the global offset of its
+    first code.  n <= 7: every chunk, at the sweep's budget and, for n <= 6,
+    at one parent block a chunk.  n = 8, at the sweep's budget: the first
+    chunk (which holds every k = 1 code, 128 cosets each, the fullest byte
+    lane), the last, and every chunk that holds the first code of a dimension.
     """
     for n in range(1, 8):
         codes = [(lc.expand(), k) for k in range(1, n + 1) for lc in enumerate_linear_codes(n, k)]
@@ -324,23 +330,21 @@ def linear_chunks_with_codes():
             assert start == len(codes), (n, budget)
     # the n = 8 codes are those of enumerate_linear_codes, built as it builds
     # them from the echelon rows (whose order test_codes pins at n = 8):
-    # running the generator up to each last chunk would cost seconds
-    chunks = _linear_chunks(8, _COSET_ENTRIES)
-    total = 0
-    for k in range(1, 9):
-        rows, ends, start = _echelon_rows(8, k), [], 0
-        while start < len(rows):
-            chunk = next(chunks)
-            if not ends or start + len(chunk[0]) == len(rows):
-                ends.append((start, chunk))
-            start += len(chunk[0])
-        assert start == len(rows), k
-        total += start
-        for start, chunk in ends:
-            part = rows[start : start + len(chunk[0])].tolist()
-            yield 8, chunk, [(LinearCode(8, tuple(g)).expand(), k) for g in part]
-    assert next(chunks, None) is None
-    assert total == 417_198  # every nonzero subspace of F2^8
+    # running the generator up to each chunk would cost seconds
+    rows = [_echelon_rows(8, k) for k in range(1, 9)]
+    begins = np.cumsum([0] + [len(r) for r in rows])  # global offset of each dimension's first code
+    assert begins[-1] == 417_198  # every nonzero subspace of F2^8
+    start = 0
+    for chunk in _linear_chunks(8, _COSET_ENTRIES):
+        end = start + len(chunk[0])
+        assert start < end
+        if end == begins[-1] or ((start <= begins[:-1]) & (begins[:-1] < end)).any():
+            assert start > 0 or end >= begins[1]  # the first chunk holds all of k = 1
+            yield 8, chunk, [(LinearCode(8, tuple(g)).expand(), k)
+                             for k, b, part in zip(range(1, 9), begins, rows)
+                             for g in part[max(start - b, 0) : max(end - b, 0)].tolist()]
+        start = end
+    assert start == begins[-1]
 
 
 def test_linear_weight_spectra_match_the_transform_on_every_chunk():
@@ -357,7 +361,7 @@ def test_linear_weight_spectra_match_the_transform_on_every_chunk():
             assert got.dtype == want.dtype == np.int64
             np.testing.assert_array_equal(got, want)
         checked += n == 8
-    assert checked == 15
+    assert checked == 6
 
 
 def test_linear_chunks_span_every_code_in_family_order():
@@ -371,11 +375,11 @@ def test_linear_chunks_span_every_code_in_family_order():
         np.testing.assert_array_equal(covered, nearest_codeword_counts(codes, n))
         if n <= 6:
             assert covered.tolist() == [naive_covered_counts(c.points, n) for c in codes]
-        if n <= 4:
+        if n <= 5:
             members = [member(i) for i in range(len(part))]
             assert members == [(c, {"mode": "all-linear", "k": k}) for c, k in part]
         checked += n == 8
-    assert checked == 15
+    assert checked == 6
 
 
 def test_coset_keys_match_brute_force_cosets():
@@ -710,21 +714,32 @@ def first_violation(n, mode, **kwargs):
     (6, "all-linear", {}),
     (7, "all-linear", {}),
     (8, "random-general", {"trials": 150, "seed": 1}),
+    (8, "all-linear", {}),
 ])
 def test_results_do_not_depend_on_chunk_boundaries(monkeypatch, n, mode, kwargs):
     summary = exhaustive_verify(n, mode, **kwargs)
     violation = first_violation(n, mode, **kwargs)
+    build, spans = lp_witness._linear_chunk, []
+
+    def chunk(n, keys, sums, starts, first):  # notes whether a dimension starts inside
+        spans.append(any(first < s < first + sum(map(len, keys)) for s in starts.values()))
+        return build(n, keys, sums, starts, first)
+
     for codes_per_chunk in (1, 7):
         with monkeypatch.context() as m:
             for name in ("_CHUNK_ENTRIES", "_COSET_ENTRIES"):
                 m.setattr(lp_witness, name, codes_per_chunk << n)
+            m.setattr(lp_witness, "_linear_chunk", chunk)
             assert exhaustive_verify(n, mode, **kwargs) == summary
+            assert any(spans) == (mode == "all-linear")  # linear chunks span dimensions
             assert first_violation(n, mode, **kwargs) == violation
+            spans.clear()
 
 
 def test_all_linear_sweep_memory_stays_small():
-    # a sweep's peak shows in the benchmark's peak RSS: 8,192 codes per chunk
-    # at n = 7, checked once per distinct weight profile, trace about 1.55 MiB
+    # a sweep's peak shows in the benchmark's peak RSS: chunks of 8,192 codes
+    # of any dimensions at n = 7, checked once per distinct weight profile,
+    # trace about 1.0 MiB warm
     exhaustive_verify(7, "all-linear")
     tracemalloc.start()
     try:
@@ -733,6 +748,23 @@ def test_all_linear_sweep_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+def test_cold_all_linear_sweep_memory_stays_small():
+    # the benchmark clears every functools cache of the library before each
+    # sweep, so its peak RSS sees the cold peak: the coset tables of lengths
+    # up to 6 and the chunks of 8,192 codes built from them
+    for mod in (cube_fourier, codes_module, ball_spectra, bounds, lp_witness):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == mod.__name__:
+                obj.cache_clear()
+    tracemalloc.start()
+    try:
+        exhaustive_verify(7, "all-linear")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 2**20
 
 
 def test_verification_error_carries_reproduction_dump():

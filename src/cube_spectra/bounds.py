@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 from .ball_spectra import (
@@ -40,19 +40,11 @@ class BoundReport:
     certificate: Optional[dict]
 
     def to_json_dict(self) -> dict:
-        cert = self.certificate
-        if cert is not None:
-            cert = {**cert, "profile": list(cert["profile"])}
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "d": self.d,
-            "delta": self.delta,
-            "r_star": self.r_star,
-            "lambda": self.lambda_used,
-            "bound": self.value,
-            "certificate": cert,
-        }
+        keys = {"lambda_used": "lambda", "value": "bound"}
+        out = {keys.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+        if (cert := self.certificate) is not None:
+            out["certificate"] = {**cert, "profile": list(cert["profile"])}
+        return out
 
 
 def binary_entropy(x: float) -> float:

@@ -304,9 +304,8 @@ def random_code(n: int, min_d: int, seed: int = 0) -> Code:
     """
     if min_d < 1:
         raise ValueError(f"need min_d >= 1, got {min_d}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(1 << n)
-    ball = np.flatnonzero(hamming_weights(n) < min_d)
+    ball = np.flatnonzero(hamming_weights(n) < min_d)  # checks the cap before the 2^n draw
+    perm = np.random.default_rng(seed).permutation(1 << n)
     blocked = np.zeros(1 << n, dtype=bool)
     chosen = []
     for p in perm.tolist():

@@ -34,11 +34,12 @@ family recursion carries).  phi's ratio is sum(P) / P_0:
     size:      mean(F) = sqrt(|C|/2^n) fhat_0,  mean(F^2) = 2^-n sum P_w fhat_w^2
     covering:  mean(F) = (|C|/2^n) fhat_0,      mean(F^2) = 4^-n sum T_w fhat_w^2
 
-All radii are one matrix product.  A family runs in chunks, the float
-checks once per distinct weight profile and only the exact covering count
-per code: |C| times the cosets with a leader within r for a linear code,
-every r in the bytes of one word, dilations of the bit-packed indicator for
-any other.  An explicit subset B runs the same sums over all 2^n points.
+All radii are one matrix product.  A sweep takes its codes in one order
+(:func:`_family`), in chunks of one entry budget: the float checks once per
+distinct weight profile, the exact covering count once per code (|C| times
+the cosets with a leader within r for a linear code, every r in the bytes of
+one word; dilations of the bit-packed indicator for any other).  An explicit
+subset B runs the same sums over all 2^n points.
 
 Reports never silently skip: an unmet premise is a verdict, and a violated
 inequality on valid inputs signals an implementation bug and is raised
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache, partial, reduce
 from typing import Optional
 
@@ -115,7 +116,7 @@ class VerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PropositionReport:
-    """Every quantity of one inequality-chain check, plus the verdict."""
+    """Every quantity of one inequality-chain check and the verdict, in JSON key order."""
 
     proposition: str
     n: int
@@ -123,40 +124,23 @@ class PropositionReport:
     r: Optional[int]
     lam: float
     premise_ok: bool
-    code_size: int
-    b_size: int
-    ef: Optional[float]  # mean of F
     ef2: Optional[float]  # squared mean of F
     ef_sq: Optional[float]  # second moment of F
-    ess_f: Optional[float]
-    phi_ratio: Optional[float]  # second moment over squared mean of phi
     covered: Optional[int]
     bound_lhs: float
     bound_rhs: float
     verdict: str
+    code_size: int
+    b_size: int
+    ef: Optional[float]  # mean of F
+    ess_f: Optional[float]
+    phi_ratio: Optional[float]  # second moment over squared mean of phi
     failures: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "proposition": self.proposition,
-            "n": self.n,
-            "d": self.d,
-            "r": self.r,
-            "lambda": self.lam,
-            "premise_ok": self.premise_ok,
-            "ef2": self.ef2,
-            "ef_sq": self.ef_sq,
-            "covered": self.covered,
-            "bound_lhs": self.bound_lhs,
-            "bound_rhs": self.bound_rhs,
-            "verdict": self.verdict,
-            "code_size": self.code_size,
-            "b_size": self.b_size,
-            "ef": self.ef,
-            "ess_support_f": self.ess_f,
-            "phi_ratio": self.phi_ratio,
-            "failures": list(self.failures),
-        }
+        keys = {"lam": "lambda", "ess_f": "ess_support_f"}
+        out = {keys.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+        return {**out, "failures": list(self.failures)}
 
 
 def _premise_ok(n: int, d, lam, tol: float):
@@ -426,12 +410,29 @@ def check_covering(
 
 # --- exhaustive driver ------------------------------------------------------------
 
-# Entries per chunk, bounding the working set of one chunk's arrays: 2^16 / 2^n
-# random codes, drawn as it runs, and their int64 transform, or 2^16 / 8 linear
-# codes of any dimensions, 16 bytes each until their int64 covered counts are
-# built, from gathers of 2^15 cosets (a cold n = 7 sweep traces about 1.2 MiB).
+# Entries per chunk, the one budget of both families: 2^16 / 2^n random codes,
+# drawn as it runs, and their int64 transform, or 2^16 / 8 linear codes of any
+# dimensions, 16 bytes each until their int64 covered counts are built, from
+# gathers of 2^15 cosets (a cold n = 7 sweep traces about 1.2 MiB).
 _CHUNK_ENTRIES = 1 << 16
-_COSET_ENTRIES = 1 << 16
+
+
+def _family(n: int, mode: str, trials: int, seed: int):
+    """(code builder, context) per code of a sweep, in the one order of its codes.
+
+    all-linear: :func:`enumerate_linear_codes` for k = 1..n; random-general:
+    trial t draws min_d, then code_seed, from default_rng(seed).
+    """
+    if mode == "all-linear":
+        for k in range(1, n + 1):
+            for lc in enumerate_linear_codes(n, k):
+                yield lc.expand, {"mode": mode, "k": k}
+        return
+    rng = np.random.default_rng(seed)
+    for t in range(trials):
+        min_d, code_seed = int(rng.integers(1, n + 1)), int(rng.integers(0, 2**63))
+        context = {"mode": mode, "trial": t, "min_d": min_d, "code_seed": code_seed}
+        yield partial(random_code, n, min_d, code_seed), context
 
 
 @lru_cache(maxsize=None)
@@ -441,7 +442,8 @@ def _coset_keys(n: int, k: int) -> np.ndarray:
     Entry z of a row is sum_w A_w << 7w, A_w the words of weight w in the
     coset z + C (7 bits a weight: A_w <= C(8, 4) < 2^7), z the part of the
     coset on the non-pivot columns, bit j on the j-th lowest; entry 0 counts
-    C itself.  As in :func:`codes._echelon_recursion` on column 0: C' of
+    C itself, and its lowest nonzero 7-bit field is the coset's leader
+    weight.  As in :func:`codes._echelon_recursion` on column 0: C' of
     E(n-1, k-1) gives C' | C' + t for each submask t of its non-pivot columns
     in increasing order, K[z] = K'[z] + K'[z ^ t] << 7, and C' of E(n-1, k)
     gives C' | 0, column 0 free, K[b | z << 1] = K'[z] << 7b.
@@ -462,31 +464,33 @@ def _coset_keys(n: int, k: int) -> np.ndarray:
 
 
 def _linear_chunks(n: int, budget: int):
-    """(covered counts, profile spectra, profile of each code, member) per chunk.
+    """(covered counts, profile spectra, profile of each code) per chunk, in family order.
 
-    E(n, k) is never built: a chunk takes whole parent blocks of
-    :func:`_coset_keys` of length n - 1, of any dimension, up to budget / 8
+    E(n, k) is never built: its codes come from the parent blocks of
+    :func:`_coset_keys` of length n - 1, a head code C' | C' + t (pivot 0)
+    with leader weights min(L'[z], 1 + L'[z ^ t]) and key K'[0] + K'[t] << 7,
+    a tail code C' | 0 with leader weights L'[z] and 1 + L'[z] and key K'[0].
+    A chunk takes whole parent blocks, of any dimension, up to budget / 8
     codes (at least one block), in parts that gather at most budget / 2
-    cosets.  A code's key is that of coset 0.  Its cosets add up in byte
-    lanes: a leader weight w is U = 0x0101010101010101 << 8w, byte r 1 when
-    w <= r; a head code's min(L'[z], 1 + L'[z ^ t]) is U[z] | (U << 8)[z ^ t],
-    a tail code's L'[z] and 1 + L'[z] give U[z] + (U << 8)[z].  Byte r of the
-    sum counts the cosets within r (at most 2^7, so no byte carries), and
-    covered(r) is |C| times byte min(r, 7): a nonzero code covers the cube
-    within n - 1.  The distinct keys are the chunk's profiles, with spectra
-    by :func:`linear_weight_spectra`; inv maps codes to profiles, and
-    member(i) rebuilds code i by its place in :func:`enumerate_linear_codes`.
+    cosets.  Its cosets add up in byte lanes: a leader weight w is
+    U = 0x0101010101010101 << 8w, byte r 1 when w <= r, so a head code's
+    leader is U[z] | (U << 8)[z ^ t] and a tail code's two are
+    U[z] + (U << 8)[z].  Byte r of the sum over a code's cosets counts those
+    within r (at most 2^7, so no byte carries), and covered(r) is |C| times
+    byte min(r, 7): a nonzero code covers the cube within n - 1.  The
+    distinct keys are the chunk's profiles, with spectra by
+    :func:`linear_weight_spectra`; inv maps codes to profiles.
     """
-    cap, keys, sums, first, filled, starts = budget >> 3, [], [], 0, 0, {}
+    cap, keys, sums, filled = budget >> 3, [], [], 0
     for k in range(1, n + 1):
-        q, starts[k] = 1 << (n - k), first + filled  # cosets a code; k's first code
+        q = 1 << (n - k)  # cosets a code
         z, most = np.arange(q), budget // 2 // q  # codes a part, at most budget / 2 cosets
         for head in (True, False) if k < n else (True,):
             parents, per, i = _coset_keys(n - 1, k - head), q if head else 1, 0  # block size
             while i < len(parents):
                 if keys and filled + per > cap:  # no room for another parent block
-                    yield _linear_chunk(n, keys, sums, starts, first)
-                    keys, sums, first, filled = [], [], first + filled, 0
+                    yield _linear_chunk(n, keys, sums)
+                    keys, sums, filled = [], [], 0
                 part = parents[i : (i := i + max(1, min(cap - filled, most) // per))]
                 u = np.bitwise_count((part & -part) - 1) // 7 * 8  # 8w, w each leader weight
                 u = np.uint64(0x0101010101010101) << u
@@ -494,39 +498,26 @@ def _linear_chunks(n: int, budget: int):
                 sums.append(((u << 8)[:, z ^ z[:, None]] | u[:, None, :] if head
                              else u + (u << 8)).sum(axis=-1).ravel())
                 filled += len(keys[-1])
-    yield _linear_chunk(n, keys, sums, starts, first)
+    yield _linear_chunk(n, keys, sums)
 
 
-def _linear_chunk(n: int, keys: list, sums: list, starts: dict, first: int):
+def _linear_chunk(n: int, keys: list, sums: list):
     profiles, inv = np.unique(np.concatenate(keys), return_inverse=True)
     spectra = linear_weight_spectra(profiles[:, None] >> 7 * np.arange(n + 1) & 127)
     lanes = np.concatenate(sums).astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
     covered = lanes[:, np.minimum(np.arange(n + 1), 7)].astype(np.int64)
     covered *= spectra[0][inv, :1]  # P_0 = |C|
-    return covered, spectra, inv, partial(_linear_member, n, starts, first)
+    return covered, spectra, inv
 
 
-def _linear_member(n: int, starts: dict, first: int, i: int):
-    k = max(k for k, start in starts.items() if start <= first + i)
-    lc = next(itertools.islice(enumerate_linear_codes(n, k), first + i - starts[k], None))
-    return lc.expand(), {"mode": "all-linear", "k": k}
+def _random_chunks(family, n: int, step: int):
+    """(covered counts, spectra, profile of each code) per step :func:`_family` items.
 
-
-def _random_chunks(n: int, contexts, step: int):
-    """(covered counts, spectra, profile of each code, member) per chunk of random codes.
-
-    Each code is its own profile; member(i) draws code i again from its
-    context, so a chunk keeps no codes.
+    Each code is its own profile; a chunk keeps only its arrays, not its codes.
     """
-    for part in iter(lambda: list(itertools.islice(contexts, step)), []):
-        member = partial(_random_member, n, part)
-        mask = _indicators([member(i)[0] for i in range(len(part))], n)
-        covered = _covered_counts(_pack(mask), n, n)
-        yield covered, weight_spectra(mask), np.arange(len(mask)), member
-
-
-def _random_member(n: int, contexts: list, i: int):
-    return random_code(n, contexts[i]["min_d"], contexts[i]["code_seed"]), contexts[i]
+    for part in iter(lambda: list(itertools.islice(family, step)), []):
+        mask = _indicators([build() for build, _ in part], n)
+        yield _covered_counts(_pack(mask), n, n), weight_spectra(mask), np.arange(len(mask))
 
 
 def exhaustive_verify(
@@ -539,41 +530,38 @@ def exhaustive_verify(
 ) -> dict:
     """Run both checks over a code family at every radius; abort on violation.
 
-    mode "all-linear" sweeps every linear code of length n (n <= 8, all
-    dimensions, in chunks that span them), with spectra by MacWilliams and
-    covered counts by coset leaders in byte lanes, both from the coset weight
-    counts of :func:`_coset_keys`; mode "random-general" draws ``trials`` >= 0
-    seeded greedy random codes with random target distances (n <= 12), with
-    spectra from the transform and covered counts by dilation.  Chunk by
-    chunk in one thread, the float checks run once per distinct weight
-    profile at every radius, the exact covering headline once per code;
-    ``threads`` changes neither the work nor the summary.  Returns the
-    verdict counts; the first failing (code, radius, proposition) raises
-    :class:`VerificationError` with the single-code check's report in its
-    dump.  ``tol`` must be finite.
+    The codes, in order, are those of :func:`_family`: mode "all-linear" is
+    every linear code of length n (n <= 8), spectra by MacWilliams and
+    covered counts by coset leaders in byte lanes, both from the coset
+    weight counts of :func:`_coset_keys`; mode "random-general" is
+    ``trials`` >= 0 seeded greedy random codes with random target distances
+    (n <= 12), spectra from the transform and covered counts by dilation.
+    Chunks of one entry budget run in one thread: the float checks once per
+    distinct weight profile at every radius, the exact covering headline
+    once per code; ``threads`` changes neither the work nor the summary.
+    Returns the verdict counts; the first failing (code, radius,
+    proposition) raises :class:`VerificationError` with the single-code
+    check's report, its code rebuilt by its index in a fresh family.
+    ``tol`` must be finite.
     """
     if not np.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
     if mode == "all-linear":
         if not 1 <= n <= 8:
             raise ValueError(f"all-linear mode supports 1 <= n <= 8, got {n}")
-        chunks = _linear_chunks(n, _COSET_ENTRIES)
+        chunks = _linear_chunks(n, _CHUNK_ENTRIES)
     elif mode == "random-general":
         if not 1 <= n <= 12:
             raise ValueError(f"random-general mode supports 1 <= n <= 12, got {n}")
         if trials < 0:
             raise ValueError(f"trials must be >= 0, got {trials}")
-        rng = np.random.default_rng(seed)
-        contexts = ({"mode": mode, "trial": t, "min_d": int(rng.integers(1, n + 1)),
-                     "code_seed": int(rng.integers(0, 2**63))} for t in range(trials))
-        chunks = _random_chunks(n, contexts, max(1, _CHUNK_ENTRIES >> n))
+        chunks = _random_chunks(_family(n, mode, trials, seed), n, max(1, _CHUNK_ENTRIES >> n))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     lam, ess_f, b_size = _ball_table(n)[:3]
     count = holds = 0
-    for covered, spectra, inv, member in chunks:
-        count += len(covered)
+    for covered, spectra, inv in chunks:
         d, ef, ef_sq, phi_ratio = _ball_moments(spectra, n, n)
         premise = _premise_ok(n, d[:, None, :], lam[:, None], tol)  # (profile, r, prop)
         m = np.maximum(n, 2 * d)  # (profile, prop)
@@ -589,10 +577,13 @@ def exhaustive_verify(
             failed = failed[inv]  # (code, r, prop)
             failed[..., 1] |= short
             i, r, k = (int(x) for x in np.unravel_index(failed.argmax(), failed.shape))
-            code, context = member(i)
+            family = _family(n, mode, trials, seed)
+            build, context = next(itertools.islice(family, count + i, None))
+            code = build()
             rep = _check(k, code, r, None, tol)
             raise VerificationError(rep, code, {"seed": seed, **context})
         holds += int(np.bincount(inv) @ premise.sum(axis=(1, 2)))
+        count += len(inv)  # the next chunk's first global index
         del covered, short  # before the next chunk is built, for the peak RSS
 
     return {

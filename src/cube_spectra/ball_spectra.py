@@ -77,6 +77,8 @@ class BallEigenWitness:
             raise ValueError(f"radius must be in [0, n], got {self.r}")
         if not 0 <= self.p <= self.r:
             raise ValueError(f"truncation weight must be in [0, r], got {self.p}")
+        if self.profile.n != self.n:
+            raise ValueError(f"dimension mismatch: witness n={self.n}, profile n={self.profile.n}")
         if len(self.profile.values) != self.p + 1:
             raise ValueError("profile must carry exactly weights 0..p")
         if any(v <= 0 for v in self.profile.values):

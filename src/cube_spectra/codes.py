@@ -82,17 +82,15 @@ class LinearCode:
         if self.n < 1:
             raise ValueError("block length must be at least 1")
         gens = tuple(int(g) for g in self.generators)
-        pivots = []
+        if bad := [g for g in gens if not 0 < g < (1 << self.n)]:
+            raise ValueError(f"generator {bad[0]} out of range for n={self.n}")
+        pivots = 0  # the pivot bits so far
         for g in gens:
-            if not 0 < g < (1 << self.n):
-                raise ValueError(f"generator {g} out of range for n={self.n}")
-            pivots.append((g & -g).bit_length() - 1)
-        if sorted(pivots) != pivots or len(set(pivots)) != len(pivots):
-            raise ValueError("generator pivots must be strictly increasing")
-        for i, g in enumerate(gens):
-            for j, p in enumerate(pivots):
-                if i != j and (g >> p) & 1:
-                    raise ValueError("generators are not fully reduced")
+            if g & -g <= pivots:
+                raise ValueError("generator pivots must be strictly increasing")
+            pivots |= g & -g
+        if any(g & pivots != g & -g for g in gens):
+            raise ValueError("generators are not fully reduced")
         object.__setattr__(self, "generators", gens)
 
     @property
@@ -231,65 +229,49 @@ def dual_distance(c: Code) -> int:
 
 def dual_code(c: LinearCode) -> LinearCode:
     """Generator of the orthogonal subspace over F2."""
-    pivots = [(g & -g).bit_length() - 1 for g in c.generators]
-    pivot_set = set(pivots)
-    basis = []
-    for col in range(c.n):
-        if col in pivot_set:
-            continue
-        v = 1 << col
-        for g, p in zip(c.generators, pivots):
-            if (g >> col) & 1:
-                v |= 1 << p
-        basis.append(v)
+    pivots = sum(g & -g for g in c.generators)
+    # a free column, plus the pivot of every row that holds it
+    basis = [(1 << col) | sum(g & -g for g in c.generators if g >> col & 1)
+             for col in range(c.n) if not pivots >> col & 1]
     dual = LinearCode.from_spanning(c.n, basis)
     if c.dim + dual.dim != c.n:
         raise ArithmeticError(f"dual has dimension {dual.dim}, not {c.n - c.dim}")
     return dual
 
 
-def _echelon_rows(n: int, k: int) -> np.ndarray:
-    """Read-only (count, k) uint8 echelon generator rows of every k-dim subspace of F2^n.
+def _echelon_rows(n: int, k: int):
+    """Yield E(n, k), the echelon generator rows of every k-dim subspace of F2^n.
 
-    For each pivot set in combinations order, the free positions (non-pivot
-    columns right of each pivot, row by row) take the bits of 0 .. 2^free - 1
-    in turn; the count per pivot set is the Gaussian binomial coefficient.
-    Built by :func:`_echelon_recursion`.
-    """
-    if not (1 <= k <= n <= 8):
-        raise ValueError(f"enumeration supports 1 <= k <= n <= 8, got n={n} k={k}")
-    return _echelon_recursion(n, k)
-
-
-@lru_cache(maxsize=None)
-def _echelon_recursion(n: int, k: int) -> np.ndarray:
-    """E(n, k) = :func:`_echelon_rows` by [n,k]_2 = 2^(n-k) [n-1,k-1]_2 + [n-1,k]_2.
-
-    The recursion is on column 0.  The pivot sets holding it come first: for
-    each row block e of E(n-1, k-1) in turn, shifted up a column, row 0 is
-    1 | s << 1 for every submask s of e's non-pivot columns in increasing
-    order (row 0's free positions are the low bits of the free-position
-    count).  The pivot sets without column 0 follow: E(n-1, k), shifted.
-    E(n, 0) is one empty block and E(n, k > n) is empty.  Memoized, so a
-    sweep builds each E(n', k') once.
+    The recursion [n,k]_2 = 2^(n-k) [n-1,k-1]_2 + [n-1,k]_2 on column 0: for
+    each row tuple e of E(n-1, k-1), shifted up a column, row 0 is 1 | s << 1
+    for every submask s of e's non-pivot columns in increasing order; then
+    E(n-1, k), shifted.  E(n, 0) is one empty tuple and E(n, k > n) is empty.
     """
     if k == 0:
-        return np.zeros((1, 0), dtype=np.uint8)
-    if k > n:
-        return np.zeros((0, k), dtype=np.uint8)
-    sub = _echelon_recursion(n - 1, k - 1)
-    pivots = np.bitwise_or.reduce(sub & -sub, axis=1).astype(np.int64)  # lowest set bits
-    block, s = np.nonzero(np.arange(1 << (n - 1)) & pivots[:, None] == 0)
-    head = np.concatenate([(1 | s << 1).astype(np.uint8)[:, None], sub[block] << 1], axis=1)
-    rows = np.concatenate([head, _echelon_recursion(n - 1, k) << 1])
-    rows.flags.writeable = False
-    return rows
+        yield ()
+    elif k <= n:
+        for sub in _echelon_rows(n - 1, k - 1):
+            free = (1 << (n - 1)) - 1 - sum(g & -g for g in sub)  # e's non-pivot columns
+            rest, s = [g << 1 for g in sub], 0
+            yield (1, *rest)
+            while s := (s - free) & free:  # the next submask of free
+                yield (1 | s << 1, *rest)
+        for sub in _echelon_rows(n - 1, k):
+            yield tuple(g << 1 for g in sub)
 
 
 def enumerate_linear_codes(n: int, k: int):
-    """Yield every k-dim subspace of F2^n once, in the order of :func:`_echelon_rows`."""
-    for row in _echelon_rows(n, k).tolist():
-        yield LinearCode(n, tuple(row))
+    """Yield every k-dim subspace of F2^n once, 1 <= k <= n <= 8.
+
+    Pivot sets come in combinations order; for each, the free positions
+    (non-pivot columns right of each pivot, row by row) take the bits of
+    0 .. 2^free - 1 in turn.  :func:`_echelon_rows` is the recursion that
+    produces this order.
+    """
+    if not (1 <= k <= n <= 8):
+        raise ValueError(f"enumeration supports 1 <= k <= n <= 8, got n={n} k={k}")
+    for rows in _echelon_rows(n, k):
+        yield LinearCode(n, rows)
 
 
 def random_code(n: int, min_d: int, seed: int = 0) -> Code:

@@ -111,7 +111,10 @@ class IntCubeFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _checked_values(self.n, self.values, np.int64))
+        vals = _checked_values(self.n, self.values, np.int64)
+        if (vals != np.asarray(self.values).reshape(-1)).any():
+            raise ValueError("values must be integers that fit in int64")
+        object.__setattr__(self, "values", vals)
 
 
 def _butterfly(a: np.ndarray) -> np.ndarray:

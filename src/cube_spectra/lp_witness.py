@@ -182,16 +182,6 @@ def _indicators(codes, n: int) -> np.ndarray:
     return mask
 
 
-def _pack(mask: np.ndarray) -> np.ndarray:
-    """Boolean (codes, 2^n) indicators as (codes, words) little-endian uint64 words.
-
-    64 points a word, point j at bit j % 64 of word j // 64; below n = 6 the
-    one word is partial, with zero padding.
-    """
-    packed = np.packbits(mask, axis=-1, bitorder="little")
-    return np.pad(packed, [(0, 0), (0, -packed.shape[-1] % 8)]).view("<u8")
-
-
 def _flip(words: np.ndarray, i: int) -> np.ndarray:
     """Packed words with index bit i < n of every point flipped."""
     if i < 6:  # shift and mask inside each word; low: the bits j with bit i of j clear
@@ -201,13 +191,18 @@ def _flip(words: np.ndarray, i: int) -> np.ndarray:
     return words.reshape(split)[..., ::-1, :].reshape(words.shape)
 
 
-def _covered_counts(words: np.ndarray, n: int, r_max: int) -> np.ndarray:
+def _covered_counts(mask: np.ndarray, n: int, r_max: int) -> np.ndarray:
     """covered[c, r]: exact number of points within distance r of code c.
 
-    words are packed indicators, as by :func:`_pack`; a dilation ORs in each
-    :func:`_flip`, and once every row covers the cube the remaining radii are
-    2^n.  The all-linear sweep counts coset leaders instead (:func:`_linear_chunks`).
+    mask is a boolean (codes, 2^n) indicator stack.  It is packed 64 points
+    a little-endian uint64 word, point j at bit j % 64 of word j // 64
+    (below n = 6 the one word is partial, with zero padding); a dilation ORs
+    in each :func:`_flip`, and once every row covers the cube the remaining
+    radii are 2^n.  The all-linear sweep counts coset leaders instead
+    (:func:`_linear_chunks`).
     """
+    words = np.packbits(mask, axis=-1, bitorder="little")
+    words = np.pad(words, [(0, 0), (0, -words.shape[-1] % 8)]).view("<u8")
     counts = np.empty((len(words), r_max + 1), dtype=np.int64)
     counts[:, 0] = np.bitwise_count(words).sum(axis=1)
     for r in range(1, r_max + 1):
@@ -240,7 +235,7 @@ def covered_fraction(c: Code, r: int) -> float:
     if not 0 <= r <= c.n:
         raise ValueError(f"radius must be in [0, n], got {r}")
     _check_sweep_cap(c.n)
-    return _covered_counts(_pack(_indicators([c], c.n)), c.n, r)[0, r] / float(1 << c.n)
+    return _covered_counts(_indicators([c], c.n), c.n, r)[0, r] / float(1 << c.n)
 
 
 # --- moments and reports ------------------------------------------------------------
@@ -335,7 +330,7 @@ def _check(k: int, c: Code, r, subset, tol) -> PropositionReport:
         if not 0 <= r <= n:
             raise ValueError(f"radius must be in [0, n], got {r}")
         mask = _indicators([c], n)
-        covered = int(_covered_counts(_pack(mask), n, r)[0, r]) if k else None
+        covered = int(_covered_counts(mask, n, r)[0, r]) if k else None
         d, ef, ef_sq, phi_ratio = _ball_moments(weight_spectra(mask), n, r)
         d, ef, ef_sq = d[0, k], ef[0, r, k], ef_sq[0, r, k]
         lam, ess_f, b_size = (a[r] for a in _ball_table(n)[:3])
@@ -443,7 +438,7 @@ def _coset_keys(n: int, k: int) -> np.ndarray:
     coset z + C (7 bits a weight: A_w <= C(8, 4) < 2^7), z the part of the
     coset on the non-pivot columns, bit j on the j-th lowest; entry 0 counts
     C itself, and its lowest nonzero 7-bit field is the coset's leader
-    weight.  As in :func:`codes._echelon_recursion` on column 0: C' of
+    weight.  As in :func:`codes._echelon_rows` on column 0: C' of
     E(n-1, k-1) gives C' | C' + t for each submask t of its non-pivot columns
     in increasing order, K[z] = K'[z] + K'[z ^ t] << 7, and C' of E(n-1, k)
     gives C' | 0, column 0 free, K[b | z << 1] = K'[z] << 7b.
@@ -517,7 +512,7 @@ def _random_chunks(family, n: int, step: int):
     """
     for part in iter(lambda: list(itertools.islice(family, step)), []):
         mask = _indicators([build() for build, _ in part], n)
-        yield _covered_counts(_pack(mask), n, n), weight_spectra(mask), np.arange(len(mask))
+        yield _covered_counts(mask, n, n), weight_spectra(mask), np.arange(len(mask))
 
 
 def exhaustive_verify(

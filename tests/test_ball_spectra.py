@@ -146,6 +146,8 @@ def test_witness_validation():
         BallEigenWitness(4, 2, 1.9, SymmetricProfile(4, (1.0, -0.5)), 1)
     with pytest.raises(ValueError, match="truncation"):
         BallEigenWitness(4, 1, 1.9, SymmetricProfile(4, (1.0, 0.5, 0.2)), 2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        BallEigenWitness(5, 1, 1.0, prof, 1)
 
 
 def test_subset_bruteforce_examples():

@@ -14,6 +14,7 @@ from cube_spectra import (
     finite_code_bound,
     first_lp_rate,
     lambda_ball_exact,
+    max_code_size_exact,
     min_radius_for_lambda,
     rate_table,
     tietavainen_bound,
@@ -185,6 +186,24 @@ def test_bound_report_roundtrip():
     )
     d = rep.to_json_dict()
     assert d["kind"] == "rate" and d["bound"] == 0.5
+
+
+def test_finite_code_bound_is_above_the_delsarte_lp():
+    # the independent oracle beyond n = 8: Delsarte's LP maximises sum A_i over
+    # A_0 = 1, A_i = 0 for 0 < i < d, A >= 0 and sum_i A_i K_k(i) >= 0 for
+    # k = 1..n, row k scaled by 1 / C(n, k); a float check, not an exact certificate
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for n in range(2, 41):
+        kraw = [[sum((-1) ** j * math.comb(i, j) * math.comb(n - i, k - j) for j in range(k + 1))
+                 for i in range(n + 1)] for k in range(1, n + 1)]
+        rows = [[-v / math.comb(n, k) for v in row] for k, row in enumerate(kraw, 1)]
+        for d in range(1, n // 2 + 1):
+            box = [(1, 1)] + [(0, 0)] * (d - 1) + [(0, None)] * (n + 1 - d)
+            res = linprog([-1.0] * (n + 1), A_ub=rows, b_ub=[0.0] * n, bounds=box, method="highs")
+            assert res.status == 0, (n, d, res.message)
+            assert -res.fun <= finite_code_bound(n, d).value * (1 + 1e-7), (n, d, -res.fun)
+            if n <= 7:
+                assert max_code_size_exact(n, d) <= -res.fun * (1 + 1e-7), (n, d, -res.fun)
 
 
 def test_finite_code_bound_ends_in_the_recurrence_stall_region():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,14 +273,27 @@ def test_enumerate_linear_codes_counts():
 
 
 def test_enumerate_linear_codes_matches_the_per_code_enumerator():
-    # the array-built echelon rows keep the per-code enumeration order; the
-    # LinearCode objects are compared below n = 8 (417,199 of them at n = 8)
+    # the recursively built echelon rows keep the per-code enumeration order;
+    # the LinearCode objects are compared below n = 8 (417,199 of them at n = 8)
     for n in range(1, 9):
         for k in range(1, n + 1):
             want = list(naive_enumerate_linear_codes(n, k))
-            assert [tuple(g) for g in _echelon_rows(n, k).tolist()] == want, (n, k)
+            assert list(_echelon_rows(n, k)) == want, (n, k)
             if n < 8:
                 assert [lc.generators for lc in enumerate_linear_codes(n, k)] == want
+
+
+def test_the_first_code_of_a_dimension_builds_no_table():
+    # the rows come one at a time: the first code of E(8, 4) builds none of the
+    # other 200,786 rows
+    tracemalloc.start()
+    try:
+        first = next(enumerate_linear_codes(8, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == LinearCode(8, (1, 2, 4, 8))
+    assert peak < 64 << 10
 
 
 def test_enumerate_linear_codes_range_errors():

@@ -195,6 +195,9 @@ def test_validation_errors():
         CubeFunction(1, [np.nan, 0.0])
     with pytest.raises(ValueError, match="dimension"):
         CubeFunction(0, [1.0])
+    with pytest.raises(ValueError, match="integers"):
+        IntCubeFunction(2, [0.5, 1, 1, 1])  # the int64 cast would store 0
+    assert IntCubeFunction(2, [1.0, True, 0, -3]).values.tolist() == [1, 1, 0, -3]
 
 
 def test_dimension_cap_env_override(monkeypatch):

@@ -50,7 +50,6 @@ from cube_spectra.lp_witness import (
     _family,
     _indicators,
     _linear_chunks,
-    _pack,
     _premise_ok,
     _random_chunks,
 )
@@ -270,7 +269,7 @@ def test_covered_counts_match_the_nearest_codeword_oracle():
         by_n.setdefault(n, []).append(random_code(n, int(rng.integers(1, n + 2)), seed=t))
     assert set(by_n) == set(range(1, 13))
     for n, codes in by_n.items():
-        got = _covered_counts(_pack(_indicators(codes, n)), n, n)
+        got = _covered_counts(_indicators(codes, n), n, n)
         for c, row in zip(codes, got.tolist()):
             assert row == naive_covered_counts(c.points, n), (n, c.points)
 
@@ -285,18 +284,17 @@ def test_covered_counts_stop_once_every_row_covers_the_cube():
     assert [row.index(1 << n) for row in want] == [0, 1, 2, 3, 4]
     singleton = Code(n, (0,))
     for stack in (codes, codes + [singleton], *([c] for c in codes)):
-        words = _pack(_indicators(stack, n))
+        mask = _indicators(stack, n)
         oracle = [naive_covered_counts(c.points, n) for c in stack]
         for r_max in range(n + 1):
-            got = _covered_counts(words, n, r_max)
+            got = _covered_counts(mask, n, r_max)
             assert got.dtype == np.int64
             assert got.tolist() == [row[: r_max + 1] for row in oracle], (stack, r_max)
 
 
-def packed_weight_counts(words, n):
-    """Weight counts of packed indicators: popcounts of the words masked by each weight."""
-    by_weight = _pack(hamming_weights(n) == np.arange(n + 1)[:, None])
-    return np.stack([np.bitwise_count(words & w).sum(axis=1) for w in by_weight], axis=1)
+def indicator_weight_counts(mask, n):
+    """Weight counts of boolean indicator rows: the points of each weight in each row."""
+    return mask.astype(np.int64) @ (hamming_weights(n)[:, None] == np.arange(n + 1))
 
 
 def nearest_codeword_counts(codes, n):
@@ -333,8 +331,8 @@ def linear_chunks_with_codes():
             assert start == len(codes), (n, budget)
     # the n = 8 codes are those of enumerate_linear_codes, built as it builds
     # them from the echelon rows (whose order test_codes pins at n = 8):
-    # running the generator up to each chunk would cost seconds
-    rows = [_echelon_rows(8, k) for k in range(1, 9)]
+    # building a LinearCode for every code up to each chunk would cost seconds
+    rows = [list(_echelon_rows(8, k)) for k in range(1, 9)]
     begins = np.cumsum([0] + [len(r) for r in rows])  # global offset of each dimension's first code
     assert begins[-1] == 417_198  # every nonzero subspace of F2^8
     start = 0
@@ -343,9 +341,9 @@ def linear_chunks_with_codes():
         assert start < end
         if end == begins[-1] or ((start <= begins[:-1]) & (begins[:-1] < end)).any():
             assert start > 0 or end >= begins[1]  # the first chunk holds all of k = 1
-            yield 8, chunk, [(LinearCode(8, tuple(g)).expand(), k)
+            yield 8, chunk, [(LinearCode(8, g).expand(), k)
                              for k, b, part in zip(range(1, 9), begins, rows)
-                             for g in part[max(start - b, 0) : max(end - b, 0)].tolist()]
+                             for g in part[max(start - b, 0) : max(end - b, 0)]]
         start = end
     assert start == begins[-1]
 
@@ -359,7 +357,7 @@ def test_linear_weight_spectra_match_the_transform_on_every_chunk():
         np.testing.assert_array_equal(linear_weight_spectra(profiles), (pairs, sums))
         assert len(inv) == len(part)
         mask = _indicators([c for c, _ in part], n)
-        np.testing.assert_array_equal(profiles[inv], packed_weight_counts(_pack(mask), n))
+        np.testing.assert_array_equal(profiles[inv], indicator_weight_counts(mask, n))
         for got, want in zip((pairs[inv], sums[inv]), weight_spectra(mask)):
             assert got.dtype == want.dtype == np.int64
             np.testing.assert_array_equal(got, want)
@@ -374,7 +372,7 @@ def test_linear_chunks_span_every_code_in_family_order():
         codes = [c for c, _ in part]
         assert len(covered) == len(inv) == len(codes)
         assert covered.dtype == np.int64
-        assert covered.tolist() == _covered_counts(_pack(_indicators(codes, n)), n, n).tolist()
+        assert covered.tolist() == _covered_counts(_indicators(codes, n), n, n).tolist()
         np.testing.assert_array_equal(covered, nearest_codeword_counts(codes, n))
         if n <= 6:
             assert covered.tolist() == [naive_covered_counts(c.points, n) for c in codes]
@@ -461,9 +459,9 @@ def test_covered_and_weight_counts_survive_coordinate_reversal():
         stack = [c for c in codes if c.n == n]
         assert stack, n
         counts = []
-        for words in (_pack(_indicators(stack, n)), _pack(reversed_indicators(stack, n))):
-            weights = packed_weight_counts(words, n)
-            counts.append(np.concatenate([_covered_counts(words, n, n), weights], axis=1))
+        for mask in (_indicators(stack, n), reversed_indicators(stack, n)):
+            weights = indicator_weight_counts(mask, n)
+            counts.append(np.concatenate([_covered_counts(mask, n, n), weights], axis=1))
         np.testing.assert_array_equal(*counts)
 
 

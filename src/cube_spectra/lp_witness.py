@@ -35,11 +35,12 @@ family recursion carries).  phi's ratio is sum(P) / P_0:
     covering:  mean(F) = (|C|/2^n) fhat_0,      mean(F^2) = 4^-n sum T_w fhat_w^2
 
 All radii are one matrix product.  A sweep takes its codes in one order
-(:func:`_family`), in chunks of one entry budget: the float checks once per
-distinct weight profile, the exact covering count once per code (|C| times
-the cosets with a leader within r for a linear code, every r in the bytes of
-one word; dilations of the bit-packed indicator for any other).  An explicit
-subset B runs the same sums over all 2^n points.
+(:func:`_family`) as entries, each standing for the codes that share its
+covered counts and weight profile: the float checks run once per distinct
+profile, the exact covering count once per entry (for a linear code, |C|
+times the cosets with a leader within r, every r in the bytes of one word;
+dilations of the bit-packed indicator for any other).  An explicit subset B
+runs the same sums over all 2^n points.
 
 Reports never silently skip: an unmet premise is a verdict, and a violated
 inequality on valid inputs signals an implementation bug and is raised
@@ -199,7 +200,7 @@ def _covered_counts(mask: np.ndarray, n: int, r_max: int) -> np.ndarray:
     (below n = 6 the one word is partial, with zero padding); a dilation ORs
     in each :func:`_flip`, and once every row covers the cube the remaining
     radii are 2^n.  The all-linear sweep counts coset leaders instead
-    (:func:`_linear_chunks`).
+    (:func:`_linear_entries`).
     """
     words = np.packbits(mask, axis=-1, bitorder="little")
     words = np.pad(words, [(0, 0), (0, -words.shape[-1] % 8)]).view("<u8")
@@ -405,10 +406,8 @@ def check_covering(
 
 # --- exhaustive driver ------------------------------------------------------------
 
-# Entries per chunk, the one budget of both families: 2^16 / 2^n random codes,
-# drawn as it runs, and their int64 transform, or 2^16 / 8 linear codes of any
-# dimensions, 16 bytes each until their int64 covered counts are built, from
-# gathers of 2^15 cosets (a cold n = 7 sweep traces about 1.2 MiB).
+# Entries per random-general chunk: 2^16 / 2^n codes, drawn as it runs, and
+# their int64 transform.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -458,61 +457,59 @@ def _coset_keys(n: int, k: int) -> np.ndarray:
     return keys
 
 
-def _linear_chunks(n: int, budget: int):
-    """(covered counts, profile spectra, profile of each code) per chunk, in family order.
+def _linear_entries(n: int):
+    """(covered, spectra, inv, mult, first) of every linear code of length n, an entry a row.
 
     E(n, k) is never built: its codes come from the parent blocks of
     :func:`_coset_keys` of length n - 1, a head code C' | C' + t (pivot 0)
     with leader weights min(L'[z], 1 + L'[z ^ t]) and key K'[0] + K'[t] << 7,
     a tail code C' | 0 with leader weights L'[z] and 1 + L'[z] and key K'[0].
-    A chunk takes whole parent blocks, of any dimension, up to budget / 8
-    codes (at least one block), in parts that gather at most budget / 2
-    cosets.  Its cosets add up in byte lanes: a leader weight w is
-    U = 0x0101010101010101 << 8w, byte r 1 when w <= r, so a head code's
-    leader is U[z] | (U << 8)[z ^ t] and a tail code's two are
-    U[z] + (U << 8)[z].  Byte r of the sum over a code's cosets counts those
-    within r (at most 2^7, so no byte carries), and covered(r) is |C| times
-    byte min(r, 7): a nonzero code covers the cube within n - 1.  The
-    distinct keys are the chunk's profiles, with spectra by
-    :func:`linear_weight_spectra`; inv maps codes to profiles.
+    Both read C' only through its row K', so the equal rows of a block are
+    one class (one np.unique over the rows' bytes), and an entry is a class
+    with a translate t (0 for a tail): it stands for mult codes of its block,
+    the first of them at global index first.  An entry's cosets add up in
+    byte lanes: a leader weight w is U = 0x0101010101010101 << 8w, byte r 1
+    when w <= r, so a head code's leader is U[z] | (U << 8)[z ^ t] and a
+    tail code's two are U[z] + (U << 8)[z].  Byte r of the sum over a code's
+    cosets counts those within r (at most 2^7, so no byte carries), and
+    covered(r) is |C| times byte min(r, 7): a nonzero code covers the cube
+    within n - 1.  The distinct keys are the sweep's profiles, with spectra
+    by :func:`linear_weight_spectra`; inv maps entries to profiles.
     """
-    cap, keys, sums, filled = budget >> 3, [], [], 0
+    keys, sums, mult, first, start = [], [], [], [], 0
     for k in range(1, n + 1):
-        q = 1 << (n - k)  # cosets a code
-        z, most = np.arange(q), budget // 2 // q  # codes a part, at most budget / 2 cosets
         for head in (True, False) if k < n else (True,):
-            parents, per, i = _coset_keys(n - 1, k - head), q if head else 1, 0  # block size
-            while i < len(parents):
-                if keys and filled + per > cap:  # no room for another parent block
-                    yield _linear_chunk(n, keys, sums)
-                    keys, sums, filled = [], [], 0
-                part = parents[i : (i := i + max(1, min(cap - filled, most) // per))]
-                u = np.bitwise_count((part & -part) - 1) // 7 * 8  # 8w, w each leader weight
-                u = np.uint64(0x0101010101010101) << u
-                keys.append((part[:, :1] + (part << 7)).ravel() if head else part[:, 0])
-                sums.append(((u << 8)[:, z ^ z[:, None]] | u[:, None, :] if head
-                             else u + (u << 8)).sum(axis=-1).ravel())
-                filled += len(keys[-1])
-    yield _linear_chunk(n, keys, sums)
-
-
-def _linear_chunk(n: int, keys: list, sums: list):
+            parents = _coset_keys(n - 1, k - head)
+            z = np.arange(parents.shape[1])
+            _, at, cls = np.unique(parents.view(f"V{8 * len(z)}")[:, 0], return_index=True,
+                                   return_inverse=True)
+            rows, members = parents[at], np.bincount(cls)  # a class each, in byte order
+            u = np.uint64(0x0101010101010101) << np.bitwise_count((rows & -rows) - 1) // 7 * 8
+            step = max(1, (1 << 13) // len(z) ** 2)  # classes a head gather, 2^13 cosets or one
+            per = len(z) if head else 1  # codes a parent
+            keys.append((rows[:, :1] + (rows << 7)).ravel() if head else rows[:, 0])
+            sums.extend(((v << 8)[:, z ^ z[:, None]] | v[:, None, :] if head else v + (v << 8))
+                        .sum(axis=-1).ravel() for v in np.split(u, range(step, len(u), step)))
+            mult.append(np.repeat(members, per))
+            first.append((start + at[:, None] * per + np.arange(per)).ravel())
+            start += len(parents) * per
     profiles, inv = np.unique(np.concatenate(keys), return_inverse=True)
     spectra = linear_weight_spectra(profiles[:, None] >> 7 * np.arange(n + 1) & 127)
     lanes = np.concatenate(sums).astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-    covered = lanes[:, np.minimum(np.arange(n + 1), 7)].astype(np.int64)
-    covered *= spectra[0][inv, :1]  # P_0 = |C|
-    return covered, spectra, inv
+    size = spectra[0][inv, :1].astype(np.int16)  # P_0 = |C|; covered counts are at most 2^8
+    covered = lanes[:, np.minimum(np.arange(n + 1), 7)] * size
+    return covered, spectra, inv, np.concatenate(mult), np.concatenate(first)
 
 
 def _random_chunks(family, n: int, step: int):
-    """(covered counts, spectra, profile of each code) per step :func:`_family` items.
+    """(covered, spectra, inv, mult, first) per step :func:`_family` items.
 
-    Each code is its own profile; a chunk keeps only its arrays, not its codes.
+    Each code is its own profile and entry; a chunk keeps arrays, not codes.
     """
-    for part in iter(lambda: list(itertools.islice(family, step)), []):
-        mask = _indicators([build() for build, _ in part], n)
-        yield _covered_counts(mask, n, n), weight_spectra(mask), np.arange(len(mask))
+    for i, part in enumerate(iter(lambda: list(itertools.islice(family, step)), [])):
+        mask, codes = _indicators([build() for build, _ in part], n), np.arange(len(part))
+        yield (_covered_counts(mask, n, n), weight_spectra(mask), codes,
+               np.ones_like(codes), i * step + codes)
 
 
 def exhaustive_verify(
@@ -531,32 +528,33 @@ def exhaustive_verify(
     weight counts of :func:`_coset_keys`; mode "random-general" is
     ``trials`` >= 0 seeded greedy random codes with random target distances
     (n <= 12), spectra from the transform and covered counts by dilation.
-    Chunks of one entry budget run in one thread: the float checks once per
-    distinct weight profile at every radius, the exact covering headline
-    once per code; ``threads`` changes neither the work nor the summary.
-    Returns the verdict counts; the first failing (code, radius,
-    proposition) raises :class:`VerificationError` with the single-code
-    check's report, its code rebuilt by its index in a fresh family.
-    ``tol`` must be finite.
+    One thread checks batches of entries, each standing for mult codes from
+    global index first on (:func:`_linear_entries`, :func:`_random_chunks`):
+    the float checks once per distinct weight profile at every radius, the
+    exact covering headline once per entry; ``threads`` changes neither the
+    work nor the summary.  Returns the verdict counts; the first failing
+    (code, radius, proposition), in the failing entry of least first,
+    raises :class:`VerificationError` with the single-code check's report,
+    its code rebuilt by its index in a fresh family.  ``tol`` must be finite.
     """
     if not np.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
     if mode == "all-linear":
         if not 1 <= n <= 8:
             raise ValueError(f"all-linear mode supports 1 <= n <= 8, got {n}")
-        chunks = _linear_chunks(n, _CHUNK_ENTRIES)
+        batches = [_linear_entries(n)]
     elif mode == "random-general":
         if not 1 <= n <= 12:
             raise ValueError(f"random-general mode supports 1 <= n <= 12, got {n}")
         if trials < 0:
             raise ValueError(f"trials must be >= 0, got {trials}")
-        chunks = _random_chunks(_family(n, mode, trials, seed), n, max(1, _CHUNK_ENTRIES >> n))
+        batches = _random_chunks(_family(n, mode, trials, seed), n, max(1, _CHUNK_ENTRIES >> n))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     lam, ess_f, b_size = _ball_table(n)[:3]
     count = holds = 0
-    for covered, spectra, inv in chunks:
+    for covered, spectra, inv, mult, first in batches:
         d, ef, ef_sq, phi_ratio = _ball_moments(spectra, n, n)
         premise = _premise_ok(n, d[:, None, :], lam[:, None], tol)  # (profile, r, prop)
         m = np.maximum(n, 2 * d)  # (profile, prop)
@@ -566,19 +564,20 @@ def exhaustive_verify(
                                    ef[..., k], ef_sq[..., k], phi_ratio[:, None], None, tol)
             ok.append(reduce(np.logical_and, checks.values()))
         failed = premise & ~np.stack(ok, axis=-1)  # (profile, r, prop)
-        # the exact covering headline, once per code: covered * m < 2^n, with no product
+        # the exact covering headline, once per entry: covered * m < 2^n, with no product
         short = premise[inv, :, 1] & (covered < -(-(1 << n) // m[inv, 1, None]))
         if failed.any() or short.any():
-            failed = failed[inv]  # (code, r, prop)
+            failed = failed[inv]  # (entry, r, prop)
             failed[..., 1] |= short
-            i, r, k = (int(x) for x in np.unravel_index(failed.argmax(), failed.shape))
+            e = np.where(failed.any(axis=(1, 2)), first, np.inf).argmin()  # least first
+            r, k = (int(x) for x in np.unravel_index(failed[e].argmax(), failed.shape[1:]))
             family = _family(n, mode, trials, seed)
-            build, context = next(itertools.islice(family, count + i, None))
+            build, context = next(itertools.islice(family, int(first[e]), None))
             code = build()
             rep = _check(k, code, r, None, tol)
             raise VerificationError(rep, code, {"seed": seed, **context})
-        holds += int(np.bincount(inv) @ premise.sum(axis=(1, 2)))
-        count += len(inv)  # the next chunk's first global index
+        holds += int(mult @ premise.sum(axis=(1, 2))[inv])
+        count += int(mult.sum())
         del covered, short  # before the next chunk is built, for the peak RSS
 
     return {

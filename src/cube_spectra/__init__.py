@@ -3,7 +3,6 @@
 from .ball_spectra import (
     BallEigenWitness,
     SubsetGraph,
-    SymmetricProfile,
     eigen_recurrence,
     hamming_ball,
     lambda_ball_exact,

@@ -9,8 +9,9 @@ Perron eigenvector is a function of Hamming weight.
   sqrt((i+1)(n-i))) and runs Sturm bisection.
 * :func:`lambda_for_radius_recurrence` binary-searches the largest rate
   lambda for which the profile recurrence started at g(0)=1 stays positive
-  through weight r, and packages the truncated profile as a certificate
-  with f >= 0 and Af >= lambda f, checked on its n+1 weights.
+  through weight r, and returns the positive head g(0..p) of that run as a
+  :class:`BallEigenWitness` (n, r, lam, profile): f(x) = g(|x|) has f >= 0
+  and Af >= lambda f, checked on its n+1 weights.
 * :func:`min_radius_for_lambda` runs the same recurrence once, in integers,
   at a rational target: the smallest sufficient radius sits just before its
   first sign change.
@@ -32,60 +33,41 @@ _POWER_MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
-class SymmetricProfile:
-    """Function of Hamming weight only: values for weights 0..m, zero above."""
-
-    n: int
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("profile dimension must be at least 1")
-        vals = tuple(float(v) for v in self.values)
-        if not 1 <= len(vals) <= self.n + 1:
-            raise ValueError(f"profile length must be in [1, n+1], got {len(vals)}")
-        if any(not math.isfinite(v) for v in vals):
-            raise ValueError("profile values must be finite")
-        object.__setattr__(self, "values", vals)
-
-    def lift(self) -> CubeFunction:
-        """Cube function taking value values[|x|] (zero above the cutoff)."""
-        table = np.zeros(self.n + 1)
-        table[: len(self.values)] = self.values
-        return CubeFunction(self.n, table[hamming_weights(self.n)])
-
-
-@dataclass(frozen=True)
 class BallEigenWitness:
     """Certificate that the ball B(r) in {0,1}^n has top eigenvalue >= lam.
 
-    The profile g is positive on weights 0..p with p <= r and implicitly zero
-    above, and the lifted function f satisfies f >= 0 and Af >= lam * f at
-    every point:  strictly below p the profile recurrence holds with equality,
-    at p dropping the (nonpositive) continuation g(p+1) only helps, and above
-    p the left side is a sum of nonnegative terms.
+    ``profile`` holds g(0..p), p = len(profile) - 1 <= r, stored as a tuple
+    of floats; g is positive there and implicitly zero above.  The lifted
+    function f(x) = g(|x|) satisfies f >= 0 and Af >= lam * f at every point:
+    strictly below p the profile recurrence holds with equality, at p
+    dropping the (nonpositive) continuation g(p+1) only helps, and above p
+    the left side is a sum of nonnegative terms.
     """
 
     n: int
     r: int
     lam: float
-    profile: SymmetricProfile
-    p: int
+    profile: tuple[float, ...]
 
     def __post_init__(self):
         if not 0 <= self.r <= self.n:
             raise ValueError(f"radius must be in [0, n], got {self.r}")
-        if not 0 <= self.p <= self.r:
-            raise ValueError(f"truncation weight must be in [0, r], got {self.p}")
-        if self.profile.n != self.n:
-            raise ValueError(f"dimension mismatch: witness n={self.n}, profile n={self.profile.n}")
-        if len(self.profile.values) != self.p + 1:
-            raise ValueError("profile must carry exactly weights 0..p")
-        if any(v <= 0 for v in self.profile.values):
-            raise ValueError("witness profile must be strictly positive")
+        g = tuple(float(v) for v in self.profile)
+        if not 1 <= len(g) <= self.r + 1:
+            raise ValueError(f"profile length must be in [1, r+1], got {len(g)}")
+        if not all(0 < v < math.inf for v in g):
+            raise ValueError("witness profile must be positive and finite")
+        object.__setattr__(self, "profile", g)
+
+    @property
+    def p(self) -> int:
+        return len(self.profile) - 1
 
     def lift(self) -> CubeFunction:
-        return self.profile.lift()
+        """Cube function taking value profile[|x|] (zero above weight p)."""
+        table = np.zeros(self.n + 1)
+        table[: len(self.profile)] = self.profile
+        return CubeFunction(self.n, table[hamming_weights(self.n)])
 
     def verify_pointwise(self, tol: float = 1e-9) -> bool:
         """Check f >= 0 and Af >= (lam - tol) f at every point of the cube.
@@ -93,13 +75,15 @@ class BallEigenWitness:
         f depends only on weight, so Af at weight i is i g(i-1) + (n-i) g(i+1)
         and the 2^n point checks collapse to one per weight.  Weights 0..p,
         where f > 0 by construction, are checked with g(p+1) = 0; above p,
-        f = 0 <= Af holds term by term.
+        f = 0 <= Af holds term by term.  ``tol`` must be finite.
         """
-        g = self.profile.values + (0.0,)
+        if not math.isfinite(tol):
+            raise ValueError(f"tol must be finite, got {tol}")
+        g = self.profile + (0.0,)
         n, floor = self.n, self.lam - tol
         return all(
             i * g[i - 1] + (n - i) * g[i + 1] >= floor * g[i]
-            for i in range(self.p + 1)
+            for i in range(len(self.profile))
         )
 
 
@@ -201,18 +185,18 @@ def _recurrence(n: int, lam: float, last: int) -> tuple[list, int]:
     return g, n + 1
 
 
-def eigen_recurrence(n: int, lam: float) -> tuple[SymmetricProfile, int]:
+def eigen_recurrence(n: int, lam: float) -> tuple[tuple[float, ...], int]:
     """Profile g with g(0)=1 propagated by lam*g(i) = i*g(i-1) + (n-i)*g(i+1).
 
-    Returns the profile of :func:`_recurrence`, which stops at the first
-    nonpositive weight, and that weight (n+1 if there is none).
+    Returns the values of :func:`_recurrence` as floats, which stop at the
+    first nonpositive weight, and that weight (n+1 if there is none).
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
     if not 0.0 <= lam <= n:
         raise ValueError(f"rate must lie in [0, n], got {lam}")
     g, first_nonpos = _recurrence(n, lam, n)
-    return SymmetricProfile(n, tuple(float(v) for v in g)), first_nonpos
+    return tuple(float(v) for v in g), first_nonpos
 
 
 def lambda_for_radius_recurrence(n: int, r: int) -> BallEigenWitness:
@@ -234,8 +218,7 @@ def lambda_for_radius_recurrence(n: int, r: int) -> BallEigenWitness:
 
     lo = float(n) if feasible(float(n)) else _bisect(0.0, float(n), 1e-12, feasible)[0]
     g, first_nonpos = _recurrence(n, lo, r + 1)
-    head = SymmetricProfile(n, g[:first_nonpos])
-    return BallEigenWitness(n=n, r=r, lam=lo, profile=head, p=first_nonpos - 1)
+    return BallEigenWitness(n, r, lo, g[:first_nonpos])
 
 
 def _induced_edges(b: SubsetGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -107,7 +107,7 @@ def finite_code_bound(n: int, d: int) -> BoundReport:
         lambda_used=witness.lam,
         value=value,
         certificate={"n": n, "r": r_star, "lambda": witness.lam, "p": witness.p,
-                     "profile": array("d", witness.profile.values)},
+                     "profile": array("d", witness.profile)},
     )
 
 

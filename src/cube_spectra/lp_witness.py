@@ -254,7 +254,7 @@ def _ball_table(n: int):
     lam, ess_f, fhat = np.zeros(n + 1), np.zeros(n + 1), np.zeros((n + 1, n + 1))
     for r in range(n + 1):
         w = lambda_for_radius_recurrence(n, r)
-        g = np.array(w.profile.values)
+        g = np.array(w.profile)
         lam[r] = w.lam
         fhat[r] = g @ k[: len(g)] / float(1 << n)
         ess_f[r] = (g @ k[: len(g), 0]) ** 2 / ((g * g) @ k[: len(g), 0])

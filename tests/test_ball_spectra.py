@@ -9,7 +9,6 @@ from conftest import dense_ball_lambda
 from cube_spectra import (
     BallEigenWitness,
     SubsetGraph,
-    SymmetricProfile,
     adjacency_apply,
     eigen_recurrence,
     hamming_ball,
@@ -24,8 +23,7 @@ from cube_spectra.bounds import ball_size, finite_code_bound
 
 
 def test_profile_lift():
-    prof = SymmetricProfile(3, (2.0, 1.0))
-    lifted = prof.lift()
+    lifted = BallEigenWitness(3, 1, 0.0, (2.0, 1.0)).lift()
     for x in range(8):
         w = bin(x).count("1")
         assert lifted.values[x] == (2.0, 1.0, 0.0, 0.0)[w]
@@ -72,22 +70,24 @@ def test_eigen_recurrence_examples():
     just_below = float(np.nextafter(math.sqrt(2), 0.0))
     g, fnp = eigen_recurrence(2, just_below)
     assert fnp == 2
-    assert g.values[0] == 1.0
-    assert g.values[1] == pytest.approx(0.70711, abs=1e-5)
-    assert g.values[2] == pytest.approx(0.0, abs=1e-12)
+    assert g[0] == 1.0
+    assert g[1] == pytest.approx(0.70711, abs=1e-5)
+    assert g[2] == pytest.approx(0.0, abs=1e-12)
     g, fnp = eigen_recurrence(2, math.sqrt(2))
-    assert abs(g.values[2]) < 1e-15
+    assert abs(g[2]) < 1e-15
 
     g, fnp = eigen_recurrence(2, 1.5)
     assert fnp == 3  # stays positive through weight 2
-    assert g.values == (1.0, 0.75, 0.125)
+    assert g == (1.0, 0.75, 0.125)
 
     g, fnp = eigen_recurrence(2, 1.0)
     assert fnp == 2
-    assert g.values == (1.0, 0.5, -0.5)
+    assert g == (1.0, 0.5, -0.5)
 
 
 def test_eigen_recurrence_validation():
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        eigen_recurrence(0, 0.0)
     with pytest.raises(ValueError):
         eigen_recurrence(3, 3.5)
     with pytest.raises(ValueError):
@@ -99,24 +99,28 @@ def test_eigen_recurrence_survives_instability():
     # overflow guard must truncate instead of overflowing to inf
     lam = lambda_ball_exact(400, 100) - 1e-13
     g, fnp = eigen_recurrence(400, lam)
-    assert all(math.isfinite(v) for v in g.values)
+    assert all(math.isfinite(v) for v in g)
 
 
 def test_lambda_for_radius_examples():
     w = lambda_for_radius_recurrence(2, 1)
     assert w.lam == pytest.approx(math.sqrt(2), abs=1e-9)
     assert w.p == 1
-    assert w.profile.values[1] == pytest.approx(0.70711, abs=1e-5)
+    assert w.profile[1] == pytest.approx(0.70711, abs=1e-5)
 
     w = lambda_for_radius_recurrence(4, 2)
     assert w.lam == pytest.approx(math.sqrt(10), abs=1e-9)
     assert w.p == 2
 
     w = lambda_for_radius_recurrence(9, 0)
-    assert w.lam == 0.0 and w.p == 0 and w.profile.values == (1.0,)
+    assert w.lam == 0.0 and w.p == 0 and w.profile == (1.0,)
 
     w = lambda_for_radius_recurrence(5, 5)
-    assert w.lam == 5.0 and w.p == 5 and w.profile.values == (1.0,) * 6
+    assert w.lam == 5.0 and w.p == 5 and w.profile == (1.0,) * 6
+
+    # the one-point cube, where lambda_ball_exact(0, 0) = 0 too
+    w = lambda_for_radius_recurrence(0, 0)
+    assert w.lam == 0.0 and w.p == 0 and w.profile == (1.0,)
 
 
 def test_recurrence_agrees_with_exact_on_grid():
@@ -140,14 +144,30 @@ def test_witness_pointwise_validity():
 
 
 def test_witness_validation():
-    prof = SymmetricProfile(4, (1.0, 0.5))
-    BallEigenWitness(4, 2, 1.9, prof, 1)
-    with pytest.raises(ValueError, match="positive"):
-        BallEigenWitness(4, 2, 1.9, SymmetricProfile(4, (1.0, -0.5)), 1)
-    with pytest.raises(ValueError, match="truncation"):
-        BallEigenWitness(4, 1, 1.9, SymmetricProfile(4, (1.0, 0.5, 0.2)), 2)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        BallEigenWitness(5, 1, 1.0, prof, 1)
+    w = BallEigenWitness(4, 2, 1.9, np.array([1.0, 0.5]))
+    assert w.profile == (1.0, 0.5) and type(w.profile[0]) is float and w.p == 1
+    with pytest.raises(ValueError, match="positive and finite"):
+        BallEigenWitness(4, 2, 1.9, (1.0, -0.5))
+    with pytest.raises(ValueError, match=r"profile length must be in \[1, r\+1\], got 3"):
+        BallEigenWitness(4, 1, 1.9, (1.0, 0.5, 0.2))
+    with pytest.raises(ValueError, match=r"profile length must be in \[1, r\+1\], got 0"):
+        BallEigenWitness(4, 1, 1.9, ())
+    for r in (-1, 5):
+        with pytest.raises(ValueError, match=rf"radius must be in \[0, n\], got {r}"):
+            BallEigenWitness(4, r, 1.9, (1.0,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="witness profile must be positive and finite"):
+            BallEigenWitness(4, 2, 1.9, (1.0, bad))
+
+
+def test_verify_pointwise_rejects_a_non_finite_tol():
+    # tol = inf would accept any lam and tol = nan reject every witness
+    w = lambda_for_radius_recurrence(6, 2)
+    false_witness = BallEigenWitness(w.n, w.r, w.lam + 3.0, w.profile)
+    for tol in (math.inf, -math.inf, math.nan):
+        for v in (w, false_witness):
+            with pytest.raises(ValueError, match="tol must be finite, got"):
+                v.verify_pointwise(tol=tol)
 
 
 def test_subset_bruteforce_examples():
@@ -178,6 +198,12 @@ def test_subset_bruteforce_matches_dense(rng):
         )
 
 
+def test_subset_eigenpair_reports_power_iteration_that_does_not_converge(monkeypatch):
+    monkeypatch.setattr(ball_spectra, "_POWER_MAX_ITER", 1)
+    with pytest.raises(ArithmeticError, match="did not reach residual .* in 1 steps"):
+        subset_top_eigenpair(hamming_ball(4, 2))
+
+
 def test_subset_eigenpair_is_nonnegative_eigenvector():
     b = hamming_ball(6, 2)
     lam, vec = subset_top_eigenpair(b)
@@ -194,6 +220,8 @@ def test_subset_eigenpair_is_nonnegative_eigenvector():
 
 
 def test_subset_graph_validation():
+    with pytest.raises(ValueError, match="dimension must be nonnegative"):
+        SubsetGraph(-1, (0,))
     with pytest.raises(ValueError, match="nonempty"):
         SubsetGraph(3, ())
     with pytest.raises(ValueError, match="lie in"):
@@ -235,7 +263,7 @@ def test_weight_lifts_check_the_dimension_cap_first(monkeypatch):
     with pytest.raises(ValueError, match="at most 10"):
         lambda_for_radius_recurrence(11, 2).lift()
     with pytest.raises(ValueError, match="at most 10"):
-        SymmetricProfile(11, (1.0,)).lift()
+        BallEigenWitness(11, 0, 0.0, (1.0,)).lift()
 
 
 def test_ball_beats_random_subsets_of_equal_size():
@@ -286,10 +314,10 @@ def test_eigen_recurrence_stops_at_the_first_sign_change():
         for lam in lams:
             g, fnp = eigen_recurrence(n, float(lam))
             if fnp <= n:
-                assert len(g.values) == fnp + 1, (n, lam)
-                assert all(v > 0 for v in g.values[:fnp]) and g.values[fnp] <= 0
+                assert len(g) == fnp + 1, (n, lam)
+                assert all(v > 0 for v in g[:fnp]) and g[fnp] <= 0
             else:
-                assert all(v > 0 for v in g.values)
+                assert all(v > 0 for v in g)
 
 
 def _dense_pointwise(w, tol):
@@ -303,22 +331,17 @@ def test_verify_pointwise_agrees_with_the_dense_check():
         for r in range(n + 1):
             w = lambda_for_radius_recurrence(n, r)
             for shift in (0.0, 1e-6, 0.1):
-                v = BallEigenWitness(n=n, r=r, lam=w.lam + shift, profile=w.profile, p=w.p)
+                v = BallEigenWitness(n, r, w.lam + shift, w.profile)
                 assert v.verify_pointwise(tol=1e-9) == _dense_pointwise(v, 1e-9), (n, r, shift)
             assert w.verify_pointwise(tol=1e-9)
 
 
 def test_verify_pointwise_checks_a_certificate_beyond_dense_reach():
     cert = finite_code_bound(1000, 100).certificate
-    w = BallEigenWitness(
-        n=cert["n"],
-        r=cert["r"],
-        lam=cert["lambda"],
-        profile=SymmetricProfile(cert["n"], cert["profile"]),
-        p=cert["p"],
-    )
+    w = BallEigenWitness(cert["n"], cert["r"], cert["lambda"], cert["profile"])
+    assert w.p == cert["p"]
     assert w.verify_pointwise(tol=1e-9)
-    raised = BallEigenWitness(n=w.n, r=w.r, lam=w.lam + 1e-6, profile=w.profile, p=w.p)
+    raised = BallEigenWitness(w.n, w.r, w.lam + 1e-6, w.profile)
     assert not raised.verify_pointwise(tol=1e-9)
 
 

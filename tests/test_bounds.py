@@ -7,7 +7,6 @@ import pytest
 
 from cube_spectra import (
     BallEigenWitness,
-    SymmetricProfile,
     ball_size,
     binary_entropy,
     essential_covering_radius_bound,
@@ -108,13 +107,8 @@ def test_finite_code_bound_structure():
     assert rep.value == 9 * ball_size(9, rep.r_star)
     assert rep.lambda_used >= 9 - 6 + 1 - 1e-9
     cert = rep.certificate
-    w = BallEigenWitness(
-        n=cert["n"],
-        r=cert["r"],
-        lam=cert["lambda"],
-        profile=SymmetricProfile(cert["n"], cert["profile"]),
-        p=cert["p"],
-    )
+    w = BallEigenWitness(cert["n"], cert["r"], cert["lambda"], cert["profile"])
+    assert w.p == cert["p"]
     assert w.verify_pointwise(tol=1e-9)
     with pytest.raises(ValueError):
         finite_code_bound(4, 5)

@@ -18,6 +18,7 @@ from cube_spectra import (
     wht,
     write_code_file,
 )
+from cube_spectra import ball_spectra, cli
 from cube_spectra.cli import main
 
 
@@ -252,6 +253,26 @@ def test_rate_table_rejects_a_step_without_a_finite_grid(step):
     )
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert "--step" in proc.stderr
+
+
+def test_rate_table_refuses_more_than_a_million_rows(capsys):
+    rc = main(["rate-table", "--step", "1e-7"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and "--step gives more than 10^6 rows" in err
+
+
+def test_lambda_bruteforce_exits_1_when_power_iteration_stalls(capsys, monkeypatch):
+    monkeypatch.setattr(ball_spectra, "_POWER_MAX_ITER", 1)
+    rc = main(["lambda", "--n", "4", "--r", "2", "--bruteforce"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == "" and "error: power iteration did not reach residual" in err
+
+
+def test_lambda_exits_1_when_the_routes_disagree(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "lambda_ball_exact", lambda n, r: lambda_ball_exact(n, r) + 1e-3)
+    rc = main(["lambda", "--n", "4", "--r", "2", "--recurrence"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == "" and "internal disagreement: exact=" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])

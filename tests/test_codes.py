@@ -60,6 +60,8 @@ def test_code_canonicalization_and_equality():
 
 
 def test_code_validation():
+    with pytest.raises(ValueError, match="block length must be at least 1"):
+        Code(0, (0,))
     with pytest.raises(ValueError, match="at least one"):
         Code(2, ())
     with pytest.raises(ValueError, match="lie in"):
@@ -81,6 +83,8 @@ def test_linear_code_validation():
         LinearCode(3, (0b110, 0b101))  # pivots out of order
     with pytest.raises(ValueError, match="out of range"):
         LinearCode(2, (0b100,))
+    with pytest.raises(ValueError, match="block length must be at least 1"):
+        LinearCode(0, ())
 
 
 def test_from_spanning_reduces_to_canonical():
@@ -308,6 +312,8 @@ def test_enumerate_linear_codes_range_errors():
 def test_random_code_degenerate_and_full():
     assert random_code(4, 5, seed=3).size == 1  # no pair can coexist
     assert random_code(5, 1, seed=9).size == 32
+    with pytest.raises(ValueError, match="need min_d >= 1, got 0"):
+        random_code(4, 0)
 
 
 def test_random_code_min_distance_and_maximality():
@@ -366,6 +372,8 @@ def test_max_code_size_known_values():
     for (n, d), want in known.items():
         assert max_code_size_exact(n, d) == want
     assert max_code_size_exact(6, 1) == 64
+    with pytest.raises(ValueError, match=r"supports 1 <= d <= n <= 8, got n=9 d=3"):
+        max_code_size_exact(9, 3)
 
 
 def test_max_code_size_exact_refuses_8_3_within_a_second():

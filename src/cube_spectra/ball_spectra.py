@@ -11,7 +11,8 @@ Perron eigenvector is a function of Hamming weight.
   lambda for which the profile recurrence started at g(0)=1 stays positive
   through weight r, and returns the positive head g(0..p) of that run as a
   :class:`BallEigenWitness` (n, r, lam, profile): f(x) = g(|x|) has f >= 0
-  and Af >= lambda f, checked on its n+1 weights.
+  and Af >= lambda f, checked on its n+1 weights.  Only midpoints within
+  :func:`lambda_ball_exact` +- 1e-9 run the recurrence.
 * :func:`min_radius_for_lambda` runs the same recurrence once, in integers,
   at a rational target: the smallest sufficient radius sits just before its
   first sign change.
@@ -117,21 +118,21 @@ def hamming_ball(n: int, r: int) -> SubsetGraph:
     return SubsetGraph(n, tuple(int(x) for x in np.nonzero(w <= r)[0]))
 
 
-def _eigenvalues_below(n: int, r: int, x: float) -> int:
+def _eigenvalues_below(squares: list[float], x: float) -> int:
     """Sturm count for the symmetrized profile operator of size r+1.
 
     Counts eigenvalues strictly below x via the LDL^T pivot signs; the
-    diagonal is zero and the off-diagonal between weights i-1 and i squares
-    to i * (n - i + 1).
+    diagonal is zero and ``squares[i-1]`` is the square i * (n - i + 1) of
+    the off-diagonal between weights i-1 and i, for i = 1..r.
     """
     count = 0
     d = -x
     if d < 0:
         count += 1
-    for i in range(1, r + 1):
+    for sq in squares:
         if d == 0.0:
             d = -1e-300
-        d = -x - (i * (n - i + 1)) / d
+        d = -x - sq / d
         if d < 0:
             count += 1
     return count
@@ -155,13 +156,21 @@ def lambda_ball_exact(n: int, r: int) -> float:
     """Top eigenvalue of the subgraph induced by the ball B(r) in {0,1}^n.
 
     Sturm bisection on [0, n+1] to absolute width 1e-10 (or to adjacent
-    floats, above 2^19), well below the documented 1e-9.
+    floats, above 2^19), well below the documented 1e-9.  The squares
+    i * (n - i + 1) are built once, as the floats that int / float would
+    convert them to, so every Sturm count is that of the plain product.
+    :func:`lambda_for_radius_recurrence` brackets its bisection with this
+    value +- 1e-9 after checking both ends with long-double probes, and
+    probes every midpoint when a check fails; given the monotone probe that
+    bisection assumes, its witness is bitwise the unbracketed one, so an
+    error here costs probes, never a different witness.
     """
     if not 0 <= r <= n:
         raise ValueError(f"radius must be in [0, n], got r={r} n={n}")
     if r == 0:
         return 0.0
-    lo, hi = _bisect(0.0, n + 1.0, 1e-10, lambda x: _eigenvalues_below(n, r, x) <= r)
+    squares = [float(i * (n - i + 1)) for i in range(1, r + 1)]
+    lo, hi = _bisect(0.0, n + 1.0, 1e-10, lambda x: _eigenvalues_below(squares, x) <= r)
     return 0.5 * (lo + hi)
 
 
@@ -209,6 +218,18 @@ def lambda_for_radius_recurrence(n: int, r: int) -> BallEigenWitness:
     further never changes its verdict.  The witness is one recurrence run at
     the feasible end: its lam is a lower bound, and it keeps that run's
     positive head g(0..p).
+
+    The bisection is bracketed: with x = lambda_ball_exact(n, r), two
+    long-double probes check that x - 1e-9 is feasible and x + 1e-9 is not.
+    Then every midpoint at or below the lower end is answered feasible and
+    every one at or above the upper end infeasible without a probe, and
+    only the midpoints between them run the recurrence (15 runs instead of
+    52 at n = 1000, r = 215).  If either check fails, the bracket widens to
+    (-1, inf) and every midpoint is probed.  Given the monotone probe the
+    bisection already assumes, every verdict, and so lam and the profile,
+    is bitwise what the unbracketed bisection returns.  Where long-double
+    underflow breaks that monotonicity far below x (n = 10^6, r = 5*10^5),
+    the bracket keeps the bisection away from those rates.
     """
     if not 0 <= r <= n:
         raise ValueError(f"radius must be in [0, n], got r={r} n={n}")
@@ -216,7 +237,15 @@ def lambda_for_radius_recurrence(n: int, r: int) -> BallEigenWitness:
     def feasible(lam: float) -> bool:
         return _recurrence(n, lam, r + 1)[1] <= r + 1
 
-    lo = float(n) if feasible(float(n)) else _bisect(0.0, float(n), 1e-12, feasible)[0]
+    x = lambda_ball_exact(n, r)
+    below, above = x - 1e-9, x + 1e-9
+    if not (feasible(below) and not feasible(above)):
+        below, above = -1.0, math.inf
+
+    def bracketed(lam: float) -> bool:
+        return lam <= below or (lam < above and feasible(lam))
+
+    lo = float(n) if bracketed(float(n)) else _bisect(0.0, float(n), 1e-12, bracketed)[0]
     g, first_nonpos = _recurrence(n, lo, r + 1)
     return BallEigenWitness(n, r, lo, g[:first_nonpos])
 

@@ -142,11 +142,13 @@ def essential_covering_radius_bound(n: int, d: int) -> tuple[int, float]:
 
 
 def tietavainen_bound(n: int, d: int) -> float:
-    """Comparator covering-radius bound n/2 - sqrt((d/2)(n - d/2)).
+    """Asymptotic comparator n/2 - sqrt((d/2)(n - d/2)) (Tietavainen 1990).
 
-    Bounds the true covering radius of a dual-distance-d code, which
-    dominates the essential covering radius, so for d <= n/2 this value
-    always exceeds the asymptotic essential bound.
+    The covering radius of a code with dual distance d is at most this value
+    only asymptotically, as n grows with d/n fixed; at finite n it is no
+    bound: the [8, 4] code with generators (209, 178, 116, 8) has dual
+    distance 3 and covering radius 3, against 0.878 here.  For d <= n/2 the
+    value exceeds the asymptotic essential bound n/2 - sqrt(d(n - d)).
     """
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got n={n} d={d}")

@@ -289,8 +289,9 @@ def test_lambda_ball_exact_ends_where_floats_are_coarser_than_its_width():
     )
     lam = float.fromhex(proc.stdout.strip())
     assert 2**19 < lam < 2**20
-    assert _eigenvalues_below(n, r, lam * (1 - 1e-12)) <= r
-    assert _eigenvalues_below(n, r, lam * (1 + 1e-12)) == r + 1
+    squares = [float(i * (n - i + 1)) for i in range(1, r + 1)]
+    assert _eigenvalues_below(squares, lam * (1 - 1e-12)) <= r
+    assert _eigenvalues_below(squares, lam * (1 + 1e-12)) == r + 1
 
 
 def test_min_radius_matches_the_float_rule():
@@ -360,3 +361,80 @@ def test_recurrence_probes_stop_at_weight_r_plus_one(monkeypatch):
     w = lambda_for_radius_recurrence(10**6, 1)
     assert len(lengths) > 1 and max(lengths) <= 3
     assert w.p == 1 and w.lam == pytest.approx(1000.0, abs=1e-9)
+
+
+def _reference_lambda_ball(n, r):
+    # Sturm bisection that multiplies out each off-diagonal square per probe
+    def below(x):
+        count, d = int(-x < 0), -x
+        for i in range(1, r + 1):
+            if d == 0.0:
+                d = -1e-300
+            d = -x - (i * (n - i + 1)) / d
+            count += d < 0
+        return count
+
+    if r == 0:
+        return 0.0
+    lo, hi = ball_spectra._bisect(0.0, n + 1.0, 1e-10, lambda x: below(x) <= r)
+    return 0.5 * (lo + hi)
+
+
+def test_lambda_ball_exact_is_bitwise_the_reference_bisection():
+    for n in range(81):
+        for r in range(n + 1):
+            assert lambda_ball_exact(n, r).hex() == _reference_lambda_ball(n, r).hex(), (n, r)
+
+
+def _reference_witness(n, r):
+    # the unbracketed bisection: every midpoint runs the long-double probe
+    def probe(lam):
+        return ball_spectra._recurrence(n, lam, r + 1)[1] <= r + 1
+
+    lam = float(n) if probe(float(n)) else ball_spectra._bisect(0.0, float(n), 1e-12, probe)[0]
+    g, first_nonpos = ball_spectra._recurrence(n, lam, r + 1)
+    return lam.hex(), tuple(float(v).hex() for v in g[:first_nonpos])
+
+
+def _witness_bits(w):
+    return w.lam.hex(), tuple(v.hex() for v in w.profile)
+
+
+def _bound_query_radii(count, seed):
+    # bound-queries' draw: n log-uniform in [100, 10^4], d/n uniform in (0, 1/2]
+    gen = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(round(math.exp(gen.uniform(math.log(100), math.log(10_000)))))
+        d = max(1, int((0.5 - gen.uniform(0.0, 0.5)) * n))
+        yield n, min_radius_for_lambda(n, max(n - 2 * d + 1, 0))
+
+
+def test_bracketed_witness_is_bitwise_the_unbracketed_bisection():
+    pairs = [(n, r) for n in range(65) for r in range(n + 1)]
+    pairs += list(_bound_query_radii(200, seed=7))
+    for n, r in pairs:
+        assert _witness_bits(lambda_for_radius_recurrence(n, r)) == _reference_witness(n, r), (n, r)
+
+
+@pytest.mark.parametrize("offset", [1.0, -1.0])
+def test_a_wrong_bracket_falls_back_to_the_full_bisection(monkeypatch, offset):
+    exact = ball_spectra.lambda_ball_exact
+    monkeypatch.setattr(ball_spectra, "lambda_ball_exact", lambda n, r: exact(n, r) + offset)
+    pairs = [(n, r) for n in range(13) for r in range(n + 1)]
+    pairs += list(_bound_query_radii(10, seed=8))
+    for n, r in pairs:
+        assert _witness_bits(lambda_for_radius_recurrence(n, r)) == _reference_witness(n, r), (n, r)
+
+
+def test_bracket_cuts_the_long_double_probes(monkeypatch):
+    # the unbracketed bisection runs the recurrence 52 times at (1000, 215)
+    calls = []
+    inner = ball_spectra._recurrence
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(ball_spectra, "_recurrence", counted)
+    lambda_for_radius_recurrence(1000, 215)
+    assert len(calls) <= 16

@@ -7,8 +7,10 @@ import pytest
 
 from cube_spectra import (
     BallEigenWitness,
+    LinearCode,
     ball_size,
     binary_entropy,
+    dual_distance,
     essential_covering_radius_bound,
     finite_code_bound,
     first_lp_rate,
@@ -20,6 +22,7 @@ from cube_spectra import (
 )
 from cube_spectra import bounds
 from cube_spectra.bounds import BoundReport, rate_report
+from cube_spectra.lp_witness import _covered_counts, _indicators
 
 
 def test_binary_entropy_values():
@@ -162,6 +165,14 @@ def test_tietavainen_values_and_ordering():
     assert tietavainen_bound(100, 30) > essential_covering_radius_bound(100, 30)[1]
     with pytest.raises(ValueError):
         tietavainen_bound(5, 6)
+
+
+def test_tietavainen_comparator_is_no_finite_length_bound():
+    code = LinearCode(8, (209, 178, 116, 8)).expand()
+    assert dual_distance(code) == 3
+    covered = _covered_counts(_indicators([code], 8), 8, 8)[0]
+    radius = next(r for r, count in enumerate(covered) if count == 256)
+    assert radius == 3 > tietavainen_bound(8, 3) == pytest.approx(0.878, abs=1e-3)
 
 
 def test_rate_table():

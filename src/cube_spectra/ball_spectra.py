@@ -229,7 +229,10 @@ def lambda_for_radius_recurrence(n: int, r: int) -> BallEigenWitness:
     bisection already assumes, every verdict, and so lam and the profile,
     is bitwise what the unbracketed bisection returns.  Where long-double
     underflow breaks that monotonicity far below x (n = 10^6, r = 5*10^5),
-    the bracket keeps the bisection away from those rates.
+    the bracket keeps the bisection away from those rates.  At r = n every
+    rate is feasible (the profile stays positive through weight n), so lam
+    is n, with no bracket and no bisection; the witness run at lam = n is
+    g = 1, exactly in long double.
     """
     if not 0 <= r <= n:
         raise ValueError(f"radius must be in [0, n], got r={r} n={n}")
@@ -237,15 +240,16 @@ def lambda_for_radius_recurrence(n: int, r: int) -> BallEigenWitness:
     def feasible(lam: float) -> bool:
         return _recurrence(n, lam, r + 1)[1] <= r + 1
 
-    x = lambda_ball_exact(n, r)
-    below, above = x - 1e-9, x + 1e-9
-    if not (feasible(below) and not feasible(above)):
-        below, above = -1.0, math.inf
-
     def bracketed(lam: float) -> bool:
         return lam <= below or (lam < above and feasible(lam))
 
-    lo = float(n) if bracketed(float(n)) else _bisect(0.0, float(n), 1e-12, bracketed)[0]
+    lo = float(n)  # r = n: every rate is feasible, and g = 1 at lam = n
+    if r < n:  # lam = n is not: g = 1 stays positive through weight r + 1
+        x = lambda_ball_exact(n, r)
+        below, above = x - 1e-9, x + 1e-9
+        if not (feasible(below) and not feasible(above)):
+            below, above = -1.0, math.inf
+        lo = _bisect(0.0, float(n), 1e-12, bracketed)[0]
     g, first_nonpos = _recurrence(n, lo, r + 1)
     return BallEigenWitness(n, r, lo, g[:first_nonpos])
 

@@ -464,9 +464,11 @@ def _linear_entries(n: int):
     :func:`_coset_keys` of length n - 1, a head code C' | C' + t (pivot 0)
     with leader weights min(L'[z], 1 + L'[z ^ t]) and key K'[0] + K'[t] << 7,
     a tail code C' | 0 with leader weights L'[z] and 1 + L'[z] and key K'[0].
-    Both read C' only through its row K', so the equal rows of a block are
-    one class (one np.unique over the rows' bytes), and an entry is a class
-    with a translate t (0 for a tail): it stands for mult codes of its block,
+    Both read C' only through its row K', so the equal rows of a table are
+    one class.  Each table E(n-1, j) is sorted once (one np.unique over the
+    rows' bytes) and serves two blocks, the tails of dimension j and the
+    heads of dimension j + 1.  An entry is a class with a translate t (0
+    for a tail): it stands for mult codes of its block,
     the first of them at global index first.  An entry's cosets add up in
     byte lanes: a leader weight w is U = 0x0101010101010101 << 8w, byte r 1
     when w <= r, so a head code's leader is U[z] | (U << 8)[z ^ t] and a
@@ -476,15 +478,19 @@ def _linear_entries(n: int):
     within n - 1.  The distinct keys are the sweep's profiles, with spectra
     by :func:`linear_weight_spectra`; inv maps entries to profiles.
     """
+    tables = []  # E(n-1, j) for j = 0..n-1, each the parent of two blocks
+    for j in range(n):
+        parents = _coset_keys(n - 1, j)
+        _, at, cls = np.unique(parents.view(f"V{8 * parents.shape[1]}")[:, 0],
+                               return_index=True, return_inverse=True)
+        rows = parents[at]  # a class each, in byte order
+        u = np.uint64(0x0101010101010101) << np.bitwise_count((rows & -rows) - 1) // 7 * 8
+        tables.append((rows, np.bincount(cls), at, u, len(parents)))
     keys, sums, mult, first, start = [], [], [], [], 0
     for k in range(1, n + 1):
         for head in (True, False) if k < n else (True,):
-            parents = _coset_keys(n - 1, k - head)
-            z = np.arange(parents.shape[1])
-            _, at, cls = np.unique(parents.view(f"V{8 * len(z)}")[:, 0], return_index=True,
-                                   return_inverse=True)
-            rows, members = parents[at], np.bincount(cls)  # a class each, in byte order
-            u = np.uint64(0x0101010101010101) << np.bitwise_count((rows & -rows) - 1) // 7 * 8
+            rows, members, at, u, count = tables[k - head]
+            z = np.arange(rows.shape[1])
             step = max(1, (1 << 13) // len(z) ** 2)  # classes a head gather, 2^13 cosets or one
             per = len(z) if head else 1  # codes a parent
             keys.append((rows[:, :1] + (rows << 7)).ravel() if head else rows[:, 0])
@@ -492,7 +498,7 @@ def _linear_entries(n: int):
                         .sum(axis=-1).ravel() for v in np.split(u, range(step, len(u), step)))
             mult.append(np.repeat(members, per))
             first.append((start + at[:, None] * per + np.arange(per)).ravel())
-            start += len(parents) * per
+            start += count * per
     profiles, inv = np.unique(np.concatenate(keys), return_inverse=True)
     spectra = linear_weight_spectra(profiles[:, None] >> 7 * np.arange(n + 1) & 127)
     lanes = np.concatenate(sums).astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)

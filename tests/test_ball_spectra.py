@@ -426,6 +426,28 @@ def test_a_wrong_bracket_falls_back_to_the_full_bisection(monkeypatch, offset):
         assert _witness_bits(lambda_for_radius_recurrence(n, r)) == _reference_witness(n, r), (n, r)
 
 
+@pytest.mark.parametrize("n", [7, 64])
+def test_full_radius_witness_takes_one_recurrence_run(monkeypatch, n):
+    # at r = n every rate is feasible, so lam = n with no Sturm bracket and
+    # no bisection: the one recurrence run is the witness, g = 1
+    runs, sturm = [], []
+    inner, exact = ball_spectra._recurrence, ball_spectra.lambda_ball_exact
+
+    def counted(*args):
+        runs.append(args)
+        return inner(*args)
+
+    def counted_exact(*args):
+        sturm.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(ball_spectra, "_recurrence", counted)
+    monkeypatch.setattr(ball_spectra, "lambda_ball_exact", counted_exact)
+    w = lambda_for_radius_recurrence(n, n)
+    assert (len(runs), sturm) == (1, [])
+    assert (w.lam, w.profile) == (float(n), (1.0,) * (n + 1))
+
+
 def test_bracket_cuts_the_long_double_probes(monkeypatch):
     # the unbracketed bisection runs the recurrence 52 times at (1000, 215)
     calls = []

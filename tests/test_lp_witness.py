@@ -38,7 +38,12 @@ from cube_spectra import (
 )
 from cube_spectra import ball_spectra, bounds, cube_fourier, lp_witness
 from cube_spectra import codes as codes_module
-from cube_spectra.codes import _echelon_rows, linear_weight_spectra, weight_spectra
+from cube_spectra.codes import (
+    _echelon_rows,
+    first_positive_weight,
+    linear_weight_spectra,
+    weight_spectra,
+)
 from cube_spectra.lp_witness import (
     PROP_COVERING,
     PROP_SIZE,
@@ -393,10 +398,12 @@ def test_linear_chunks_span_every_code_in_family_order():
 
 def test_parent_row_classes_are_exact():
     # entries come from classes of equal coset-table rows, found by one sort
-    # of each row's bytes.  In every parent block with n <= 8 the class rows,
-    # indexed by each parent's class, must give back the parents' table, the
-    # classes must be distinct and named by their first parent, and the
-    # entries' multiplicities must add up to the block's code count
+    # of the rows' bytes a table: E(n - 1, j) is sorted once and serves the
+    # tails of dimension j and the heads of j + 1.  In every parent block
+    # with n <= 8 the class rows, indexed by each parent's class, must give
+    # back the parents' table, the classes must be distinct and named by
+    # their first parent, and the entries' multiplicities must add up to
+    # the block's code count
     for n in range(1, 9):
         _, _, _, mult, first = _linear_entries(n)
         start = 0
@@ -417,6 +424,47 @@ def test_parent_row_classes_are_exact():
                 assert mult[block].sum() == len(parents) * per
                 start += len(parents) * per
         assert start == mult.sum()
+
+
+def test_each_coset_table_is_sorted_once(monkeypatch):
+    # the n tables of length n - 1 are sorted once each, then the profiles
+    # once: 8 sorts at n = 7, where one sort a parent block made 14
+    calls = []
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    _linear_entries(7)
+    assert len(calls) == 8
+
+
+def test_essential_covering_radius_is_within_the_witness_radius():
+    # the paper's claim, per linear code of dual distance d': the essential
+    # covering radius rho_e (m = max(n, 2d')) is at most the witness radius
+    # r* = min_radius_for_lambda(n, max(n - 2d' + 1, 0)), while the true
+    # covering radius rho can exceed it.  The table holds, per (n, d'),
+    # (max rho, max rho_e, r*) over the sweep's entries; covered(r) grows
+    # with r, so the least r with a property is the count of r without it
+    table = {}
+    for n in range(1, 9):
+        covered, (_, sums), inv, _, _ = _linear_entries(n)
+        dual = first_positive_weight(sums)[inv]
+        rho = (covered < 1 << n).sum(axis=1)
+        rho_e = (covered * np.maximum(n, 2 * dual)[:, None] < 1 << n).sum(axis=1)
+        for d in np.unique(dual).tolist():
+            r_star = min_radius_for_lambda(n, max(n - 2 * d + 1, 0))
+            assert (rho_e[dual == d] <= r_star).all(), (n, d)
+            table[n, d] = int(rho[dual == d].max()), int(rho_e[dual == d].max()), r_star
+    assert [table[8, d] for d in range(1, 5)] == [(7, 2, 5), (4, 2, 3), (3, 1, 2), (2, 1, 1)]
+    for n in range(1, 7):  # max rho against the packed path on every code
+        mask = _indicators(linear_codes(n)[1], n)
+        dual = first_positive_weight(weight_spectra(mask)[1])
+        rho = (_covered_counts(mask, n, n) < 1 << n).sum(axis=1)
+        want = {d: int(rho[dual == d].max()) for d in np.unique(dual).tolist()}
+        assert {d: row[0] for (m, d), row in table.items() if m == n} == want, n
 
 
 def replayed_random_family(n, trials, seed):

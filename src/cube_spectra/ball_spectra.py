@@ -223,11 +223,11 @@ def lambda_for_radius_recurrence(n: int, r: int) -> BallEigenWitness:
     long-double probes check that x - 1e-9 is feasible and x + 1e-9 is not.
     Then every midpoint at or below the lower end is answered feasible and
     every one at or above the upper end infeasible without a probe, and
-    only the midpoints between them run the recurrence (15 runs instead of
-    52 at n = 1000, r = 215).  If either check fails, the bracket widens to
-    (-1, inf) and every midpoint is probed.  Given the monotone probe the
-    bisection already assumes, every verdict, and so lam and the profile,
-    is bitwise what the unbracketed bisection returns.  Where long-double
+    only the midpoints between them run the recurrence.  If either check
+    fails, the bracket widens to (-1, inf) and every midpoint is probed.
+    Given the monotone probe the bisection already assumes, every verdict,
+    and so lam and the profile, is bitwise what the unbracketed bisection
+    returns.  Where long-double
     underflow breaks that monotonicity far below x (n = 10^6, r = 5*10^5),
     the bracket keeps the bisection away from those rates.  At r = n every
     rate is feasible (the profile stays positive through weight n), so lam

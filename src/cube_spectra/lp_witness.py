@@ -144,6 +144,15 @@ class PropositionReport:
         return {**out, "failures": list(self.failures)}
 
 
+def _check_tol(tol: float) -> None:
+    # a larger tol admits a ball whose eigenvalue is below its premise target
+    # n - 2d + 1, and a correct code then reads as a violation: for the balls
+    # with n <= 24 the nearest such eigenvalue is 0.0052 below its target, at
+    # (n, r) = (15, 8)
+    if not (np.isfinite(tol) and tol <= 1e-6):
+        raise ValueError(f"tol must be finite and at most 1e-6, got {tol}")
+
+
 def _premise_ok(n: int, d, lam, tol: float):
     return lam >= n - 2 * d + 1 - tol
 
@@ -322,8 +331,7 @@ def _check(k: int, c: Code, r, subset, tol) -> PropositionReport:
     violation reports here too, so a dump is the single check's report.
     """
     n, prop, size_prop = c.n, (PROP_SIZE, PROP_COVERING)[k], k == 0
-    if not np.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
+    _check_tol(tol)
     if (r is None) == (subset is None):
         raise ValueError("pass exactly one of a ball radius or an explicit subset")
     _check_sweep_cap(n)
@@ -384,6 +392,7 @@ def check_prop_ineq(
     B is a Hamming ball (by radius) or an explicit subset; the premise is
     that its top induced eigenvalue reaches n - 2d + 1, with d the minimal
     distance of the code.  An unmet premise is a verdict, not an error.
+    ``tol`` must be finite and at most 1e-6.
     """
     return _check(0, c, ball_r, subset, tol)
 
@@ -465,9 +474,10 @@ def _linear_entries(n: int):
     with leader weights min(L'[z], 1 + L'[z ^ t]) and key K'[0] + K'[t] << 7,
     a tail code C' | 0 with leader weights L'[z] and 1 + L'[z] and key K'[0].
     Both read C' only through its row K', so the equal rows of a table are
-    one class.  Each table E(n-1, j) is sorted once (one np.unique over the
-    rows' bytes) and serves two blocks, the tails of dimension j and the
-    heads of dimension j + 1.  An entry is a class with a translate t (0
+    one class.  One pass takes the tables E(n-1, j), j = 0..n-1, in turn,
+    each sorted once (one np.unique over the rows' bytes), and yields its
+    tails of dimension j (none at j = 0), then its heads of dimension j + 1:
+    that is the family order.  An entry is a class with a translate t (0
     for a tail): it stands for mult codes of its block,
     the first of them at global index first.  An entry's cosets add up in
     byte lanes: a leader weight w is U = 0x0101010101010101 << 8w, byte r 1
@@ -478,27 +488,27 @@ def _linear_entries(n: int):
     within n - 1.  The distinct keys are the sweep's profiles, with spectra
     by :func:`linear_weight_spectra`; inv maps entries to profiles.
     """
-    tables = []  # E(n-1, j) for j = 0..n-1, each the parent of two blocks
+    keys, sums, mult, first, start = [], [], [], [], 0
     for j in range(n):
         parents = _coset_keys(n - 1, j)
         _, at, cls = np.unique(parents.view(f"V{8 * parents.shape[1]}")[:, 0],
                                return_index=True, return_inverse=True)
-        rows = parents[at]  # a class each, in byte order
+        rows, members = parents[at], np.bincount(cls)  # a class each, in byte order
         u = np.uint64(0x0101010101010101) << np.bitwise_count((rows & -rows) - 1) // 7 * 8
-        tables.append((rows, np.bincount(cls), at, u, len(parents)))
-    keys, sums, mult, first, start = [], [], [], [], 0
-    for k in range(1, n + 1):
-        for head in (True, False) if k < n else (True,):
-            rows, members, at, u, count = tables[k - head]
-            z = np.arange(rows.shape[1])
-            step = max(1, (1 << 13) // len(z) ** 2)  # classes a head gather, 2^13 cosets or one
-            per = len(z) if head else 1  # codes a parent
-            keys.append((rows[:, :1] + (rows << 7)).ravel() if head else rows[:, 0])
-            sums.extend(((v << 8)[:, z ^ z[:, None]] | v[:, None, :] if head else v + (v << 8))
-                        .sum(axis=-1).ravel() for v in np.split(u, range(step, len(u), step)))
-            mult.append(np.repeat(members, per))
-            first.append((start + at[:, None] * per + np.arange(per)).ravel())
-            start += count * per
+        if j:  # the tails C' | 0, a code a parent
+            keys.append(rows[:, 0])
+            sums.append((u + (u << 8)).sum(axis=-1))
+            mult.append(members)
+            first.append(start + at)
+            start += len(parents)
+        z = np.arange(rows.shape[1])  # the heads C' | C' + t, a code a translate t
+        step = max(1, (1 << 13) // len(z) ** 2)  # classes a gather, 2^13 cosets or one
+        keys.append((rows[:, :1] + (rows << 7)).ravel())
+        sums.extend(((v << 8)[:, z ^ z[:, None]] | v[:, None, :]).sum(axis=-1).ravel()
+                    for v in np.split(u, range(step, len(u), step)))
+        mult.append(np.repeat(members, len(z)))
+        first.append((start + at[:, None] * len(z) + z).ravel())
+        start += len(parents) * len(z)
     profiles, inv = np.unique(np.concatenate(keys), return_inverse=True)
     spectra = linear_weight_spectra(profiles[:, None] >> 7 * np.arange(n + 1) & 127)
     lanes = np.concatenate(sums).astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
@@ -541,10 +551,10 @@ def exhaustive_verify(
     work nor the summary.  Returns the verdict counts; the first failing
     (code, radius, proposition), in the failing entry of least first,
     raises :class:`VerificationError` with the single-code check's report,
-    its code rebuilt by its index in a fresh family.  ``tol`` must be finite.
+    its code rebuilt by its index in a fresh family.  ``tol`` must be
+    finite and at most 1e-6.
     """
-    if not np.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
+    _check_tol(tol)
     if mode == "all-linear":
         if not 1 <= n <= 8:
             raise ValueError(f"all-linear mode supports 1 <= n <= 8, got {n}")

@@ -414,6 +414,9 @@ def test_bracketed_witness_is_bitwise_the_unbracketed_bisection():
     pairs += list(_bound_query_radii(200, seed=7))
     for n, r in pairs:
         assert _witness_bits(lambda_for_radius_recurrence(n, r)) == _reference_witness(n, r), (n, r)
+        if r < n:  # the bracket holds: a fallback gives the same bits, only slower
+            x, probe = lambda_ball_exact(n, r), ball_spectra._recurrence
+            assert probe(n, x - 1e-9, r + 1)[1] <= r + 1 < probe(n, x + 1e-9, r + 1)[1], (n, r)
 
 
 @pytest.mark.parametrize("offset", [1.0, -1.0])

@@ -38,6 +38,7 @@ from cube_spectra import (
 )
 from cube_spectra import ball_spectra, bounds, cube_fourier, lp_witness
 from cube_spectra import codes as codes_module
+from cube_spectra.cli import main
 from cube_spectra.codes import (
     _echelon_rows,
     first_positive_weight,
@@ -824,6 +825,19 @@ def test_non_finite_tolerance_is_rejected(tol):
     for check in (check_prop_ineq, check_covering):
         with pytest.raises(ValueError, match="tol must be finite"):
             check(c, 1, tol=tol)
+
+
+def test_a_tolerance_that_breaks_the_premise_is_rejected(capsys):
+    # at tol = 1 the premise admits balls whose eigenvalue is below its
+    # target, and the full cube of length 2 would read as a violation
+    with pytest.raises(ValueError, match="tol must be finite and at most 1e-6"):
+        check_prop_ineq(Code(2, (0, 1, 2, 3)), ball_r=0, tol=1.0)
+    with pytest.raises(ValueError, match="tol must be finite and at most 1e-6"):
+        exhaustive_verify(2, "all-linear", tol=1.0)
+    assert main(["verify", "--n", "2", "--all-linear", "--tol", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "tol must be finite" in err
+    assert exhaustive_verify(2, "all-linear", tol=1e-6)["violations"] == 0
 
 
 def first_violation(n, mode, **kwargs):

@@ -12,7 +12,7 @@ Perron eigenvector is a function of Hamming weight.
   through weight r, and returns the positive head g(0..p) of that run as a
   :class:`BallEigenWitness` (n, r, lam, profile): f(x) = g(|x|) has f >= 0
   and Af >= lambda f, checked on its n+1 weights.  Only midpoints within
-  :func:`lambda_ball_exact` +- 1e-9 run the recurrence.
+  max(2e-12, 4 ulp) of a Newton-refined Sturm eigenvalue run the recurrence.
 * :func:`min_radius_for_lambda` runs the same recurrence once, in integers,
   at a rational target: the smallest sufficient radius sits just before its
   first sign change.
@@ -159,11 +159,6 @@ def lambda_ball_exact(n: int, r: int) -> float:
     floats, above 2^19), well below the documented 1e-9.  The squares
     i * (n - i + 1) are built once, as the floats that int / float would
     convert them to, so every Sturm count is that of the plain product.
-    :func:`lambda_for_radius_recurrence` brackets its bisection with this
-    value +- 1e-9 after checking both ends with long-double probes, and
-    probes every midpoint when a check fails; given the monotone probe that
-    bisection assumes, its witness is bitwise the unbracketed one, so an
-    error here costs probes, never a different witness.
     """
     if not 0 <= r <= n:
         raise ValueError(f"radius must be in [0, n], got r={r} n={n}")
@@ -172,6 +167,30 @@ def lambda_ball_exact(n: int, r: int) -> float:
     squares = [float(i * (n - i + 1)) for i in range(1, r + 1)]
     lo, hi = _bisect(0.0, n + 1.0, 1e-10, lambda x: _eigenvalues_below(squares, x) <= r)
     return 0.5 * (lo + hi)
+
+
+def _ball_bracket(n: int, r: int) -> tuple[float, float]:
+    """x -+ max(2e-12, 4 ulp(x)) around the radius-r top eigenvalue x, r < n.
+
+    Newton on det(y - T), pivots u_k = y - sq_k/u_{k-1} and derivatives
+    u'_k = 1 + sq_k u'_{k-1}/u_{k-1}^2 (u_0 = y, u'_0 = 1), steps down by
+    1/sum u'_k/u_k from the upper end of a width-1e-3 Sturm bisection until
+    a step is at most 1e-13 max(1, y) or a pivot turns nonpositive.
+    """
+    squares = [float(i * (n - i + 1)) for i in range(1, r + 1)]
+    y = _bisect(0.0, n + 1.0, 1e-3, lambda x: _eigenvalues_below(squares, x) <= r)[1]
+    step = y
+    while y > 0 and step > 1e-13 * max(1.0, y):
+        u, du, total = y, 1.0, 1.0 / y
+        for sq in squares:
+            du, u = 1.0 + sq * du / (u * u), y - sq / u
+            if u <= 0:
+                break
+            total += du / u
+        step = 1.0 / total if u > 0 else 0.0
+        y -= step
+    eps = max(2e-12, 4 * math.ulp(y))
+    return y - eps, y + eps
 
 
 def _recurrence(n: int, lam: float, last: int) -> tuple[list, int]:
@@ -219,38 +238,38 @@ def lambda_for_radius_recurrence(n: int, r: int) -> BallEigenWitness:
     the feasible end: its lam is a lower bound, and it keeps that run's
     positive head g(0..p).
 
-    The bisection is bracketed: with x = lambda_ball_exact(n, r), two
-    long-double probes check that x - 1e-9 is feasible and x + 1e-9 is not.
-    Then every midpoint at or below the lower end is answered feasible and
-    every one at or above the upper end infeasible without a probe, and
-    only the midpoints between them run the recurrence.  If either check
-    fails, the bracket widens to (-1, inf) and every midpoint is probed.
-    Given the monotone probe the bisection already assumes, every verdict,
-    and so lam and the profile, is bitwise what the unbracketed bisection
-    returns.  Where long-double
-    underflow breaks that monotonicity far below x (n = 10^6, r = 5*10^5),
-    the bracket keeps the bisection away from those rates.  At r = n every
-    rate is feasible (the profile stays positive through weight n), so lam
-    is n, with no bracket and no bisection; the witness run at lam = n is
-    g = 1, exactly in long double.
+    The bisection is bracketed by :func:`_ball_bracket` once two long-double
+    probes show its lower end feasible and its upper end not: midpoints
+    outside it are answered without a probe.  If either check fails, every
+    midpoint is probed.  Given the monotone probe the bisection already
+    assumes, lam and the profile are bitwise the unbracketed bisection's,
+    and the witness reuses the last feasible probe's run when its rate is
+    lam.  Where long-double underflow breaks that monotonicity far below the
+    eigenvalue (n = 10^6, r = 5*10^5), the bracket keeps the bisection away
+    from those rates.  At r = n every rate is feasible (the profile stays
+    positive through weight n), so lam is n, with no bracket and no
+    bisection; the witness run at lam = n is g = 1, exactly in long double.
     """
     if not 0 <= r <= n:
         raise ValueError(f"radius must be in [0, n], got r={r} n={n}")
+    last = None, None  # rate and run of the latest feasible probe
 
     def feasible(lam: float) -> bool:
-        return _recurrence(n, lam, r + 1)[1] <= r + 1
+        nonlocal last
+        run = _recurrence(n, lam, r + 1)
+        last = (lam, run) if run[1] <= r + 1 else last
+        return run[1] <= r + 1
 
     def bracketed(lam: float) -> bool:
         return lam <= below or (lam < above and feasible(lam))
 
     lo = float(n)  # r = n: every rate is feasible, and g = 1 at lam = n
     if r < n:  # lam = n is not: g = 1 stays positive through weight r + 1
-        x = lambda_ball_exact(n, r)
-        below, above = x - 1e-9, x + 1e-9
+        below, above = _ball_bracket(n, r)
         if not (feasible(below) and not feasible(above)):
             below, above = -1.0, math.inf
         lo = _bisect(0.0, float(n), 1e-12, bracketed)[0]
-    g, first_nonpos = _recurrence(n, lo, r + 1)
+    g, first_nonpos = last[1] if last[0] == lo else _recurrence(n, lo, r + 1)
     return BallEigenWitness(n, r, lo, g[:first_nonpos])
 
 

@@ -417,42 +417,60 @@ def test_bracketed_witness_is_bitwise_the_unbracketed_bisection():
         if r < n:  # the bracket holds: a fallback gives the same bits, only slower
             x, probe = lambda_ball_exact(n, r), ball_spectra._recurrence
             assert probe(n, x - 1e-9, r + 1)[1] <= r + 1 < probe(n, x + 1e-9, r + 1)[1], (n, r)
+        if 0 < r < n:  # and so does the tighter one the witness uses
+            below, above = ball_spectra._ball_bracket(n, r)
+            assert probe(n, below, r + 1)[1] <= r + 1 < probe(n, above, r + 1)[1], (n, r)
 
 
 @pytest.mark.parametrize("offset", [1.0, -1.0])
 def test_a_wrong_bracket_falls_back_to_the_full_bisection(monkeypatch, offset):
-    exact = ball_spectra.lambda_ball_exact
-    monkeypatch.setattr(ball_spectra, "lambda_ball_exact", lambda n, r: exact(n, r) + offset)
+    bracket, inner, runs = ball_spectra._ball_bracket, ball_spectra._recurrence, []
+
+    def counted(*args):
+        runs.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(
+        ball_spectra, "_ball_bracket", lambda n, r: tuple(v + offset for v in bracket(n, r))
+    )
     pairs = [(n, r) for n in range(13) for r in range(n + 1)]
     pairs += list(_bound_query_radii(10, seed=8))
     for n, r in pairs:
-        assert _witness_bits(lambda_for_radius_recurrence(n, r)) == _reference_witness(n, r), (n, r)
+        monkeypatch.setattr(ball_spectra, "_recurrence", counted)
+        runs.clear()
+        w = lambda_for_radius_recurrence(n, r)
+        monkeypatch.setattr(ball_spectra, "_recurrence", inner)
+        assert _witness_bits(w) == _reference_witness(n, r), (n, r)
+        # the bracketed search takes at most 6 runs: this one probed every midpoint
+        assert r == n or len(runs) > 6, (n, r, len(runs))
 
 
 @pytest.mark.parametrize("n", [7, 64])
 def test_full_radius_witness_takes_one_recurrence_run(monkeypatch, n):
     # at r = n every rate is feasible, so lam = n with no Sturm bracket and
     # no bisection: the one recurrence run is the witness, g = 1
-    runs, sturm = [], []
-    inner, exact = ball_spectra._recurrence, ball_spectra.lambda_ball_exact
+    runs, brackets = [], []
+    inner, bracket = ball_spectra._recurrence, ball_spectra._ball_bracket
 
     def counted(*args):
         runs.append(args)
         return inner(*args)
 
-    def counted_exact(*args):
-        sturm.append(args)
-        return exact(*args)
+    def counted_bracket(*args):
+        brackets.append(args)
+        return bracket(*args)
 
     monkeypatch.setattr(ball_spectra, "_recurrence", counted)
-    monkeypatch.setattr(ball_spectra, "lambda_ball_exact", counted_exact)
+    monkeypatch.setattr(ball_spectra, "_ball_bracket", counted_bracket)
     w = lambda_for_radius_recurrence(n, n)
-    assert (len(runs), sturm) == (1, [])
+    assert (len(runs), brackets) == (1, [])
     assert (w.lam, w.profile) == (float(n), (1.0,) * (n + 1))
 
 
 def test_bracket_cuts_the_long_double_probes(monkeypatch):
-    # the unbracketed bisection runs the recurrence 52 times at (1000, 215)
+    # the unbracketed bisection runs the recurrence 52 times at (1000, 215),
+    # the +-1e-9 bracket 15; the Newton-refined one makes 5 (two end checks,
+    # midpoints inside it, and no separate witness run)
     calls = []
     inner = ball_spectra._recurrence
 
@@ -462,4 +480,4 @@ def test_bracket_cuts_the_long_double_probes(monkeypatch):
 
     monkeypatch.setattr(ball_spectra, "_recurrence", counted)
     lambda_for_radius_recurrence(1000, 215)
-    assert len(calls) <= 16
+    assert len(calls) <= 6

@@ -7,12 +7,11 @@ Perron eigenvector is a function of Hamming weight.
 
 * :func:`lambda_ball_exact` symmetrizes the operator (off-diagonal
   sqrt((i+1)(n-i))) and runs Sturm bisection.
-* :func:`lambda_for_radius_recurrence` binary-searches the largest rate
-  lambda for which the profile recurrence started at g(0)=1 stays positive
-  through weight r, and returns the positive head g(0..p) of that run as a
-  :class:`BallEigenWitness` (n, r, lam, profile): f(x) = g(|x|) has f >= 0
-  and Af >= lambda f, checked on its n+1 weights.  Only midpoints within
-  max(2e-12, 4 ulp) of a Newton-refined Sturm eigenvalue run the recurrence.
+* :func:`lambda_for_radius_recurrence` runs the profile recurrence started
+  at g(0)=1 once, in long double, at a rate lambda 4 ulp below a
+  Newton-refined Sturm eigenvalue, and returns the positive head g(0..p) of
+  that run as a :class:`BallEigenWitness` (n, r, lam, profile):
+  f(x) = g(|x|) has f >= 0 and Af >= lambda f, checked on its n+1 weights.
 * :func:`min_radius_for_lambda` runs the same recurrence once, in integers,
   at a rational target: the smallest sufficient radius sits just before its
   first sign change.
@@ -38,7 +37,9 @@ class BallEigenWitness:
     """Certificate that the ball B(r) in {0,1}^n has top eigenvalue >= lam.
 
     ``profile`` holds g(0..p), p = len(profile) - 1 <= r, stored as a tuple
-    of floats; g is positive there and implicitly zero above.  The lifted
+    of floats; g is positive there and implicitly zero above.  Any positive
+    multiple of g is the same certificate, so a profile may be scaled by a
+    power of two to keep its values clear of the subnormal range.  The lifted
     function f(x) = g(|x|) satisfies f >= 0 and Af >= lam * f at every point:
     strictly below p the profile recurrence holds with equality, at p
     dropping the (nonpositive) continuation g(p+1) only helps, and above p
@@ -169,8 +170,8 @@ def lambda_ball_exact(n: int, r: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _ball_bracket(n: int, r: int) -> tuple[float, float]:
-    """x -+ max(2e-12, 4 ulp(x)) around the radius-r top eigenvalue x, r < n.
+def _ball_top(n: int, r: int) -> float:
+    """The radius-r top eigenvalue y, to a few ulp, for r < n.
 
     Newton on det(y - T), pivots u_k = y - sq_k/u_{k-1} and derivatives
     u'_k = 1 + sq_k u'_{k-1}/u_{k-1}^2 (u_0 = y, u'_0 = 1), steps down by
@@ -189,8 +190,7 @@ def _ball_bracket(n: int, r: int) -> tuple[float, float]:
             total += du / u
         step = 1.0 / total if u > 0 else 0.0
         y -= step
-    eps = max(2e-12, 4 * math.ulp(y))
-    return y - eps, y + eps
+    return y
 
 
 def _recurrence(n: int, lam: float, last: int) -> tuple[list, int]:
@@ -228,49 +228,37 @@ def eigen_recurrence(n: int, lam: float) -> tuple[tuple[float, ...], int]:
 
 
 def lambda_for_radius_recurrence(n: int, r: int) -> BallEigenWitness:
-    """Largest recurrence rate whose profile stays positive through weight r.
+    """A rate just below the radius-r top eigenvalue, with its witness profile.
 
-    The predicate "first nonpositive index <= r+1" is monotone in lam (the
-    sign change moves outward as lam grows), so bisection on [0, n] converges
-    to the top eigenvalue of the radius-r truncation (width 1e-12, or adjacent
-    floats above 2^13).  Each probe stops at weight r+1, since computing
-    further never changes its verdict.  The witness is one recurrence run at
-    the feasible end: its lam is a lower bound, and it keeps that run's
-    positive head g(0..p).
+    One long-double recurrence run at lam = max(y - 4 ulp(y), 0), where y is
+    :func:`_ball_top`'s Newton eigenvalue, stopped at weight r+1.  When the
+    profile turns nonpositive by then (lam is at most the top eigenvalue of
+    the radius-r truncation), the run's positive head g(0..p), p <= r, is the
+    witness and lam the lower bound it proves.  Should the profile stay
+    positive through weight r+1 instead, lam steps down from y by doubling
+    steps, clamped at 0, where g(1) = 0 ends the run at once.  At r = n every
+    rate is feasible (the profile stays positive through weight n), so lam
+    is n with no Newton call, and the one run there is g = 1, exactly in
+    long double.
 
-    The bisection is bracketed by :func:`_ball_bracket` once two long-double
-    probes show its lower end feasible and its upper end not: midpoints
-    outside it are answered without a probe.  If either check fails, every
-    midpoint is probed.  Given the monotone probe the bisection already
-    assumes, lam and the profile are bitwise the unbracketed bisection's,
-    and the witness reuses the last feasible probe's run when its rate is
-    lam.  Where long-double underflow breaks that monotonicity far below the
-    eigenvalue (n = 10^6, r = 5*10^5), the bracket keeps the bisection away
-    from those rates.  At r = n every rate is feasible (the profile stays
-    positive through weight n), so lam is n, with no bracket and no
-    bisection; the witness run at lam = n is g = 1, exactly in long double.
+    A head whose smallest value is below 2^-1022 is scaled up by an exact
+    power of two, at most 2^1023, so that no value of the float profile is
+    subnormal; the certificate f >= 0, Af >= lam f does not depend on scale.
     """
     if not 0 <= r <= n:
         raise ValueError(f"radius must be in [0, n], got r={r} n={n}")
-    last = None, None  # rate and run of the latest feasible probe
-
-    def feasible(lam: float) -> bool:
-        nonlocal last
-        run = _recurrence(n, lam, r + 1)
-        last = (lam, run) if run[1] <= r + 1 else last
-        return run[1] <= r + 1
-
-    def bracketed(lam: float) -> bool:
-        return lam <= below or (lam < above and feasible(lam))
-
-    lo = float(n)  # r = n: every rate is feasible, and g = 1 at lam = n
-    if r < n:  # lam = n is not: g = 1 stays positive through weight r + 1
-        below, above = _ball_bracket(n, r)
-        if not (feasible(below) and not feasible(above)):
-            below, above = -1.0, math.inf
-        lo = _bisect(0.0, float(n), 1e-12, bracketed)[0]
-    g, first_nonpos = last[1] if last[0] == lo else _recurrence(n, lo, r + 1)
-    return BallEigenWitness(n, r, lo, g[:first_nonpos])
+    y, ulps = (_ball_top(n, r), 4) if r < n else (float(n), 0)
+    while True:
+        lam = max(y - ulps * math.ulp(y), 0.0)
+        g, first_nonpos = _recurrence(n, lam, r + 1)
+        if first_nonpos <= r + 1:
+            break
+        ulps *= 2
+    head = np.array(g[:first_nonpos])
+    low = np.frexp(head.min())[1] - 1  # floor(log2) of the smallest value
+    if low < -1022:
+        head = np.ldexp(head, min(-1022 - low, 1023))
+    return BallEigenWitness(n, r, lam, head)
 
 
 def _induced_edges(b: SubsetGraph) -> tuple[np.ndarray, np.ndarray]:

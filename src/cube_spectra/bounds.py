@@ -85,9 +85,9 @@ def finite_code_bound(n: int, d: int) -> BoundReport:
     |C| <= 2d / (2d - n), Plotkin's bound.  An odd d is first raised to
     d' = d + 1 by a parity bit (n' = n + 1, same size, still 2d' > n'), the
     value is max(n, floor(2d' / (2d' - n'))), and value == n * |B(r*)|
-    holds only when 2d <= n.  lambda is the certificate's: the feasible end
-    of the recurrence bisection at r*, a lower bound on lambda(B(r*)) that
-    the attached witness profile proves.
+    holds only when 2d <= n.  lambda is the certificate's: the witness rate
+    at r*, just below the Newton eigenvalue of B(r*), a lower bound on
+    lambda(B(r*)) that the attached witness profile proves.
     """
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got n={n} d={d}")

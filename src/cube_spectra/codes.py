@@ -210,11 +210,6 @@ def first_positive_weight(sums: np.ndarray) -> np.ndarray:
     return np.where(hit.any(axis=-1), hit.argmax(axis=-1) + 1, sums.shape[-1])
 
 
-def min_distance_autocorrelation(c: Code) -> int:
-    """Distance via the support of the autocorrelation; exact integer route."""
-    return int(first_positive_weight(weight_spectra(c.int_indicator().values)[0]))
-
-
 def dual_distance(c: Code) -> int:
     """Largest d such that the transform of 1_C vanishes on 0 < |S| < d.
 

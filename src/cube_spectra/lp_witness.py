@@ -254,8 +254,9 @@ def covered_fraction(c: Code, r: int) -> float:
 def _ball_table(n: int):
     """Ball route by radius r = 0..n: (lambda, ess support of f, |B|, fhat).
 
-    lambda is the recurrence bisection's feasible end (exactly n at r = n),
-    not a bracket midpoint, which can overshoot the top eigenvalue.
+    lambda is the witness's own rate, just below the Newton eigenvalue
+    (exactly n at r = n): a lower bound that its profile proves, not an
+    estimate of the eigenvalue, which can overshoot it.
     fhat[r, w] = 2^-n sum_i g_i K_i(w) for the witness profile g, and
     2^n mean(f)^2 / mean(f^2) comes from sums of g and g^2 against K_i(0) = C(n, i).
     """

@@ -346,6 +346,18 @@ def test_verify_pointwise_checks_a_certificate_beyond_dense_reach():
     assert not raised.verify_pointwise(tol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "n, d", [(9960, 1515), (10000, 1500), (12000, 2000), (16000, 3000), (20000, 4000)]
+)
+def test_certificates_with_long_double_tails_verify(n, d):
+    # the heads end below float64's normal range: unscaled, the first two
+    # profiles end in subnormals that fail the check and the others underflow to 0
+    cert = finite_code_bound(n, d).certificate
+    w = BallEigenWitness(cert["n"], cert["r"], cert["lambda"], cert["profile"])
+    assert w.p == cert["p"] and w.verify_pointwise(tol=1e-9)
+    assert min(w.profile) >= 2**-1022
+
+
 def test_recurrence_probes_stop_at_weight_r_plus_one(monkeypatch):
     # a probe that ran on to the profile's own sign change would take O(n)
     # steps, which is minutes at n = 10^8
@@ -359,7 +371,7 @@ def test_recurrence_probes_stop_at_weight_r_plus_one(monkeypatch):
 
     monkeypatch.setattr(ball_spectra, "_recurrence", spy)
     w = lambda_for_radius_recurrence(10**6, 1)
-    assert len(lengths) > 1 and max(lengths) <= 3
+    assert len(lengths) == 1 and max(lengths) <= 3
     assert w.p == 1 and w.lam == pytest.approx(1000.0, abs=1e-9)
 
 
@@ -396,10 +408,6 @@ def _reference_witness(n, r):
     return lam.hex(), tuple(float(v).hex() for v in g[:first_nonpos])
 
 
-def _witness_bits(w):
-    return w.lam.hex(), tuple(v.hex() for v in w.profile)
-
-
 def _bound_query_radii(count, seed):
     # bound-queries' draw: n log-uniform in [100, 10^4], d/n uniform in (0, 1/2]
     gen = np.random.default_rng(seed)
@@ -409,75 +417,74 @@ def _bound_query_radii(count, seed):
         yield n, min_radius_for_lambda(n, max(n - 2 * d + 1, 0))
 
 
-def test_bracketed_witness_is_bitwise_the_unbracketed_bisection():
-    pairs = [(n, r) for n in range(65) for r in range(n + 1)]
-    pairs += list(_bound_query_radii(200, seed=7))
-    for n, r in pairs:
-        assert _witness_bits(lambda_for_radius_recurrence(n, r)) == _reference_witness(n, r), (n, r)
-        if r < n:  # the bracket holds: a fallback gives the same bits, only slower
-            x, probe = lambda_ball_exact(n, r), ball_spectra._recurrence
-            assert probe(n, x - 1e-9, r + 1)[1] <= r + 1 < probe(n, x + 1e-9, r + 1)[1], (n, r)
-        if 0 < r < n:  # and so does the tighter one the witness uses
-            below, above = ball_spectra._ball_bracket(n, r)
-            assert probe(n, below, r + 1)[1] <= r + 1 < probe(n, above, r + 1)[1], (n, r)
-
-
-@pytest.mark.parametrize("offset", [1.0, -1.0])
-def test_a_wrong_bracket_falls_back_to_the_full_bisection(monkeypatch, offset):
-    bracket, inner, runs = ball_spectra._ball_bracket, ball_spectra._recurrence, []
+def _counting_runs(monkeypatch):
+    # patches _recurrence to record each run; returns the list and the original
+    inner, runs = ball_spectra._recurrence, []
 
     def counted(*args):
         runs.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(
-        ball_spectra, "_ball_bracket", lambda n, r: tuple(v + offset for v in bracket(n, r))
-    )
+    monkeypatch.setattr(ball_spectra, "_recurrence", counted)
+    return runs, inner
+
+
+def test_witness_is_one_sound_run_within_4_ulp_of_the_bisection(monkeypatch):
+    pairs = [(n, r) for n in range(65) for r in range(n + 1)]
+    pairs += list(_bound_query_radii(200, seed=7))
+    runs, probe = _counting_runs(monkeypatch)
+    for n, r in pairs:
+        runs.clear()
+        w = lambda_for_radius_recurrence(n, r)
+        assert len(runs) == 1, (n, r, len(runs))
+        assert w.verify_pointwise(tol=1e-9), (n, r)
+        oracle = float.fromhex(_reference_witness(n, r)[0])
+        assert oracle - 4 * math.ulp(oracle) <= w.lam <= lambda_ball_exact(n, r) + 1e-9, (n, r)
+        if r < n:  # the top eigenvalue lies within 1e-9 of lambda_ball_exact
+            x = lambda_ball_exact(n, r)
+            assert probe(n, x - 1e-9, r + 1)[1] <= r + 1 < probe(n, x + 1e-9, r + 1)[1], (n, r)
+            y = ball_spectra._ball_top(n, r)  # and the start 4 ulp below y is feasible
+            assert probe(n, max(y - 4 * math.ulp(y), 0.0), r + 1)[1] <= r + 1, (n, r)
+
+
+@pytest.mark.parametrize("offset", [1e-9, 1.0, -1.0])
+def test_a_wrong_bracket_falls_back_to_the_full_bisection(monkeypatch, offset):
+    # a Newton eigenvalue off by offset still gives a sound witness: one too
+    # high steps down by doubling steps, one too low only loosens lam
+    top = ball_spectra._ball_top
+    monkeypatch.setattr(ball_spectra, "_ball_top", lambda n, r: top(n, r) + offset)
+    runs, _ = _counting_runs(monkeypatch)
     pairs = [(n, r) for n in range(13) for r in range(n + 1)]
     pairs += list(_bound_query_radii(10, seed=8))
     for n, r in pairs:
-        monkeypatch.setattr(ball_spectra, "_recurrence", counted)
         runs.clear()
         w = lambda_for_radius_recurrence(n, r)
-        monkeypatch.setattr(ball_spectra, "_recurrence", inner)
-        assert _witness_bits(w) == _reference_witness(n, r), (n, r)
-        # the bracketed search takes at most 6 runs: this one probed every midpoint
-        assert r == n or len(runs) > 6, (n, r, len(runs))
+        assert w.verify_pointwise(tol=1e-9), (n, r, offset)
+        assert len(runs) <= 60, (n, r, len(runs))
+        assert w.lam >= lambda_ball_exact(n, r) - 2 * abs(offset) - 1e-9, (n, r, offset)
 
 
 @pytest.mark.parametrize("n", [7, 64])
 def test_full_radius_witness_takes_one_recurrence_run(monkeypatch, n):
-    # at r = n every rate is feasible, so lam = n with no Sturm bracket and
-    # no bisection: the one recurrence run is the witness, g = 1
-    runs, brackets = [], []
-    inner, bracket = ball_spectra._recurrence, ball_spectra._ball_bracket
+    # at r = n every rate is feasible, so lam = n with no Newton eigenvalue:
+    # the one recurrence run is the witness, g = 1
+    runs, _ = _counting_runs(monkeypatch)
+    tops, top = [], ball_spectra._ball_top
 
-    def counted(*args):
-        runs.append(args)
-        return inner(*args)
+    def counted_top(*args):
+        tops.append(args)
+        return top(*args)
 
-    def counted_bracket(*args):
-        brackets.append(args)
-        return bracket(*args)
-
-    monkeypatch.setattr(ball_spectra, "_recurrence", counted)
-    monkeypatch.setattr(ball_spectra, "_ball_bracket", counted_bracket)
+    monkeypatch.setattr(ball_spectra, "_ball_top", counted_top)
     w = lambda_for_radius_recurrence(n, n)
-    assert (len(runs), brackets) == (1, [])
+    assert (len(runs), tops) == (1, [])
     assert (w.lam, w.profile) == (float(n), (1.0,) * (n + 1))
 
 
 def test_bracket_cuts_the_long_double_probes(monkeypatch):
     # the unbracketed bisection runs the recurrence 52 times at (1000, 215),
-    # the +-1e-9 bracket 15; the Newton-refined one makes 5 (two end checks,
-    # midpoints inside it, and no separate witness run)
-    calls = []
-    inner = ball_spectra._recurrence
-
-    def counted(*args):
-        calls.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(ball_spectra, "_recurrence", counted)
+    # the +-1e-9 bracket 15 and the Newton-refined bracket 5; a start 4 ulp
+    # below the Newton eigenvalue is feasible, so the witness is one run
+    calls, _ = _counting_runs(monkeypatch)
     lambda_for_radius_recurrence(1000, 215)
-    assert len(calls) <= 6
+    assert len(calls) == 1

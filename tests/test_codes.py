@@ -38,7 +38,6 @@ from cube_spectra.codes import (
     _exact_shift,
     first_positive_weight,
     format_code_text,
-    min_distance_autocorrelation,
     read_code_file,
     weight_spectra,
     write_code_file,
@@ -125,13 +124,15 @@ def test_min_distance_singleton_flagged():
         assert min_distance(Code(4, (7,))) == 5
 
 
-def test_min_distance_agrees_with_autocorrelation_route(rng):
+def test_min_distance_agrees_with_the_weight_spectrum_route(rng):
+    # the sweep reads a code's distance off its pair counts P
     for trial in range(30):
         n = int(rng.integers(2, 10))
         k = int(rng.integers(2, min(40, 1 << n) + 1))
         pts = rng.choice(1 << n, size=k, replace=False)
         c = Code(n, tuple(int(p) for p in pts))
-        assert min_distance(c) == min_distance_autocorrelation(c)
+        pairs = weight_spectra(c.int_indicator().values)[0]
+        assert min_distance(c) == int(first_positive_weight(pairs))
 
 
 def test_autocorrelation_examples():

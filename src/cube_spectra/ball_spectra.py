@@ -6,11 +6,13 @@ because the induced ball subgraph is connected and level-transitive, so its
 Perron eigenvector is a function of Hamming weight.
 
 * :func:`lambda_ball_exact` symmetrizes the operator (off-diagonal
-  sqrt((i+1)(n-i))) and runs Sturm bisection.
+  sqrt((i+1)(n-i))), starts above its top eigenvalue at an Airy estimate
+  whose LDL^T pivots are all positive, and descends by one Laguerre step
+  and Newton steps, with no bisection.
 * :func:`lambda_for_radius_recurrence` runs the profile recurrence started
-  at g(0)=1 once, in long double, at a rate lambda 4 ulp below a
-  Newton-refined Sturm eigenvalue, and returns the positive head g(0..p) of
-  that run as a :class:`BallEigenWitness` (n, r, lam, profile):
+  at g(0)=1 once, in long double, at a rate lambda 4 ulp below that
+  eigenvalue, and returns the positive head g(0..p) of that run as a
+  :class:`BallEigenWitness` (n, r, lam, profile):
   f(x) = g(|x|) has f >= 0 and Af >= lambda f, checked on its n+1 weights.
 * :func:`min_radius_for_lambda` runs the same recurrence once, in integers,
   at a rational target: the smallest sufficient radius sits just before its
@@ -54,7 +56,7 @@ class BallEigenWitness:
     def __post_init__(self):
         if not 0 <= self.r <= self.n:
             raise ValueError(f"radius must be in [0, n], got {self.r}")
-        g = tuple(float(v) for v in self.profile)
+        g = tuple(np.asarray(self.profile, dtype=np.float64).tolist())
         if not 1 <= len(g) <= self.r + 1:
             raise ValueError(f"profile length must be in [1, r+1], got {len(g)}")
         if not all(0 < v < math.inf for v in g):
@@ -119,67 +121,58 @@ def hamming_ball(n: int, r: int) -> SubsetGraph:
     return SubsetGraph(n, tuple(int(x) for x in np.nonzero(w <= r)[0]))
 
 
-def _eigenvalues_below(squares: list[float], x: float) -> int:
-    """Sturm count for the symmetrized profile operator of size r+1.
+def _above_spectrum(squares: list[float], y: float) -> bool:
+    """Whether y lies above every eigenvalue of the profile operator T.
 
-    Counts eigenvalues strictly below x via the LDL^T pivot signs; the
-    diagonal is zero and ``squares[i-1]`` is the square i * (n - i + 1) of
-    the off-diagonal between weights i-1 and i, for i = 1..r.
+    By Sylvester's law of inertia, exactly when every LDL^T pivot of y - T,
+    u_0 = y and u_k = y - sq_k/u_{k-1}, is positive; ``squares[k-1]`` is the
+    square k * (n - k + 1) of the off-diagonal between weights k-1 and k.
     """
-    count = 0
-    d = -x
-    if d < 0:
-        count += 1
+    u = y
     for sq in squares:
-        if d == 0.0:
-            d = -1e-300
-        d = -x - sq / d
-        if d < 0:
-            count += 1
-    return count
-
-
-def _bisect(lo: float, hi: float, width: float, above) -> tuple[float, float]:
-    """Shrink [lo, hi] to width around the point where above(x) turns False.
-
-    Also stops once lo and hi are adjacent floats, which comes first where
-    floats are spaced wider than width (from 2^13 at 1e-12, 2^19 at 1e-10).
-    """
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        lo, hi = (mid, hi) if above(mid) else (lo, mid)
-    return lo, hi
+        if u <= 0:
+            return False
+        u = y - sq / u
+    return u > 0
 
 
 def lambda_ball_exact(n: int, r: int) -> float:
     """Top eigenvalue of the subgraph induced by the ball B(r) in {0,1}^n.
 
-    Sturm bisection on [0, n+1] to absolute width 1e-10 (or to adjacent
-    floats, above 2^19), well below the documented 1e-9.  The squares
-    i * (n - i + 1) are built once, as the floats that int / float would
-    convert them to, so every Sturm count is that of the plain product.
+    0 at r = 0, n at r = n (the cube), else :func:`_ball_top`, to a few ulp.
     """
     if not 0 <= r <= n:
         raise ValueError(f"radius must be in [0, n], got r={r} n={n}")
-    if r == 0:
-        return 0.0
-    squares = [float(i * (n - i + 1)) for i in range(1, r + 1)]
-    lo, hi = _bisect(0.0, n + 1.0, 1e-10, lambda x: _eigenvalues_below(squares, x) <= r)
-    return 0.5 * (lo + hi)
+    return 0.0 if r == 0 else float(n) if r == n else _ball_top(n, r)
 
 
 def _ball_top(n: int, r: int) -> float:
     """The radius-r top eigenvalue y, to a few ulp, for r < n.
 
-    Newton on det(y - T), pivots u_k = y - sq_k/u_{k-1} and derivatives
-    u'_k = 1 + sq_k u'_{k-1}/u_{k-1}^2 (u_0 = y, u'_0 = 1), steps down by
-    1/sum u'_k/u_k from the upper end of a width-1e-3 Sturm bisection until
-    a step is at most 1e-13 max(1, y) or a pivot turns nonpositive.
+    The Airy estimate 2b - 0.75c, b = sqrt(max(r(n-r+1), 1)) and
+    c = |a_1| max(n-2r, 1)^(2/3) b^(-1/3) with a_1 the first Airy zero
+    (extreme Krawtchouk zeros have such asymptotics), capped at n + 1, is only
+    a start: y counts as above the spectrum once :func:`_above_spectrum`
+    accepts it, and each rejection raises y by 0.25c, 0.5c, ... up to n + 1,
+    where every pivot is at least y/2.  Then one Laguerre step of degree
+    r+1 on det(y - T) = prod u_k, which stays above the top root, with
+    G = sum u'_k/u_k and H = -G' from u'_k = 1 + sq_k u'_{k-1}/u_{k-1}^2 and
+    its derivative (u'_0 = 1, u''_0 = 0), and Newton steps of 1/G until one
+    is at most 1e-13 max(1, y) or a pivot turns nonpositive.
     """
     squares = [float(i * (n - i + 1)) for i in range(1, r + 1)]
-    y = _bisect(0.0, n + 1.0, 1e-3, lambda x: _eigenvalues_below(squares, x) <= r)[1]
+    b = math.sqrt(max(r * (n - r + 1), 1))
+    c = 2.33811 * max(n - 2 * r, 1) ** (2 / 3) / b ** (1 / 3)
+    y, rise = min(2 * b - 0.75 * c, n + 1.0), 0.25 * c
+    while not _above_spectrum(squares, y):
+        y, rise = min(y + rise, n + 1.0), 2 * rise
+    u, du, ddu, g, h = y, 1.0, 0.0, 1.0 / y, 1.0 / (y * y)
+    for sq in squares:
+        w = sq / (u * u)
+        du, ddu, u = 1.0 + w * du, w * (ddu - 2.0 * du * du / u), y - sq / u
+        q = du / u
+        g, h = g + q, h + q * q - ddu / u
+    y -= (r + 1) / (g + math.sqrt(max(r * ((r + 1) * h - g * g), 0.0)))
     step = y
     while y > 0 and step > 1e-13 * max(1.0, y):
         u, du, total = y, 1.0, 1.0 / y

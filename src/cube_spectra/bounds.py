@@ -131,8 +131,11 @@ def essential_covering_radius_bound(n: int, d: int) -> tuple[int, float]:
     Returns (r_finite, r_asymptotic): the rigorous finite radius (smallest
     ball eigenvalue reaching n - 2d + 1) and the closed form
     n/2 - sqrt(d (n - d)), reported as a real and never floored.  The finite
-    value drifts toward the asymptote as n grows; the gap is monitored in
-    tests rather than asserted against an invented constant.
+    value exceeds the asymptote rho0 n by about
+    |a_1| n^(1/3) (rho0 (1 - rho0) / (1 - 2 rho0))^(1/3), a_1 = -2.33811 the
+    first Airy zero: the ball's top eigenvalue near its truncation at r is
+    about 2b - |a_1| (n - 2r)^(2/3) b^(-1/3), b = sqrt(r(n - r)).  Tests
+    check that law to 0.05 n^(1/3) at n = 16,000 and 64,000.
     """
     if not (1 <= d and 2 * d <= n):
         raise ValueError(f"asymptotic form needs 1 <= d <= n/2, got n={n} d={d}")

@@ -31,6 +31,7 @@ from .ball_spectra import (
     lambda_ball_exact,
     lambda_for_radius_recurrence,
     lambda_subset_bruteforce,
+    min_radius_for_lambda,
 )
 from .codes import read_code_file
 from .cube_fourier import wht
@@ -146,12 +147,17 @@ def _cmd_lambda(args) -> int:
             raise ValueError("bruteforce method capped at n=16")
         lam = lambda_subset_bruteforce(hamming_ball(n, r))
 
-    # bug trap: the independent routes must agree on anything this small
+    # bug trap: for each route's value x, exact Sturm counts must show B(r)
+    # reaching x - tol and, below n, not x + tol
     if 1 <= n <= 12:
         exact = lambda_ball_exact(n, r)
         rec = lambda_for_radius_recurrence(n, r).lam
         tol = max(args.tol, 1e-7)
-        if abs(exact - rec) > tol or abs(lam - exact) > tol:
+        if not all(
+            x - tol <= n and min_radius_for_lambda(n, x - tol) <= r
+            < (min_radius_for_lambda(n, x + tol) if x + tol <= n else n + 1)
+            for x in (exact, rec, lam)
+        ):
             sys.stderr.write(
                 f"internal disagreement: exact={exact!r} recurrence={rec!r} "
                 f"{method}={lam!r}\n"

@@ -18,7 +18,7 @@ from cube_spectra import (
     min_radius_for_lambda,
 )
 from cube_spectra import ball_spectra
-from cube_spectra.ball_spectra import _eigenvalues_below, subset_top_eigenpair
+from cube_spectra.ball_spectra import subset_top_eigenpair
 from cube_spectra.bounds import ball_size, finite_code_bound
 
 
@@ -375,6 +375,51 @@ def test_recurrence_probes_stop_at_weight_r_plus_one(monkeypatch):
     assert w.p == 1 and w.lam == pytest.approx(1000.0, abs=1e-9)
 
 
+def test_witness_profile_is_each_long_double_value_as_a_float(monkeypatch):
+    # one numpy conversion of the head gives the doubles of float() on each value
+    heads = []
+
+    def spy(n, r, lam, profile):
+        heads.append(profile)
+        return BallEigenWitness(n, r, lam, profile)
+
+    monkeypatch.setattr(ball_spectra, "BallEigenWitness", spy)
+    for n in range(65):
+        for r in range(n + 1):
+            heads.clear()
+            w = lambda_for_radius_recurrence(n, r)
+            (head,) = heads
+            assert head.dtype == np.longdouble
+            assert [v.hex() for v in w.profile] == [float(v).hex() for v in head], (n, r)
+
+
+def _eigenvalues_below(squares, x):
+    # Sturm count of the symmetrized profile operator: eigenvalues strictly
+    # below x from the LDL^T pivot signs; squares[i-1] = i * (n - i + 1)
+    count = 0
+    d = -x
+    if d < 0:
+        count += 1
+    for sq in squares:
+        if d == 0.0:
+            d = -1e-300
+        d = -x - sq / d
+        if d < 0:
+            count += 1
+    return count
+
+
+def _bisect(lo, hi, width, above):
+    # shrink [lo, hi] to width around the point where above(x) turns False,
+    # or until lo and hi are adjacent floats
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return lo, hi
+
+
 def _reference_lambda_ball(n, r):
     # Sturm bisection that multiplies out each off-diagonal square per probe
     def below(x):
@@ -388,14 +433,25 @@ def _reference_lambda_ball(n, r):
 
     if r == 0:
         return 0.0
-    lo, hi = ball_spectra._bisect(0.0, n + 1.0, 1e-10, lambda x: below(x) <= r)
+    lo, hi = _bisect(0.0, n + 1.0, 1e-10, lambda x: below(x) <= r)
     return 0.5 * (lo + hi)
 
 
-def test_lambda_ball_exact_is_bitwise_the_reference_bisection():
+def test_lambda_ball_exact_is_within_1e9_of_the_reference_bisection():
     for n in range(81):
         for r in range(n + 1):
-            assert lambda_ball_exact(n, r).hex() == _reference_lambda_ball(n, r).hex(), (n, r)
+            assert abs(lambda_ball_exact(n, r) - _reference_lambda_ball(n, r)) <= 1e-9, (n, r)
+
+
+def test_lambda_ball_exact_passes_the_exact_sturm_bracket():
+    # exact integer sign counts: B(r) reaches lam - tol and, below n, not lam + tol
+    tol = 1e-9
+    for n in range(41):
+        for r in range(n + 1):
+            lam = lambda_ball_exact(n, r)
+            assert min_radius_for_lambda(n, lam - tol) <= r, (n, r)
+            if lam + tol <= n:
+                assert r < min_radius_for_lambda(n, lam + tol), (n, r)
 
 
 def _reference_witness(n, r):
@@ -403,7 +459,7 @@ def _reference_witness(n, r):
     def probe(lam):
         return ball_spectra._recurrence(n, lam, r + 1)[1] <= r + 1
 
-    lam = float(n) if probe(float(n)) else ball_spectra._bisect(0.0, float(n), 1e-12, probe)[0]
+    lam = float(n) if probe(float(n)) else _bisect(0.0, float(n), 1e-12, probe)[0]
     g, first_nonpos = ball_spectra._recurrence(n, lam, r + 1)
     return lam.hex(), tuple(float(v).hex() for v in g[:first_nonpos])
 
@@ -488,3 +544,19 @@ def test_bracket_cuts_the_long_double_probes(monkeypatch):
     calls, _ = _counting_runs(monkeypatch)
     lambda_for_radius_recurrence(1000, 215)
     assert len(calls) == 1
+
+
+def test_ball_top_checks_its_start_at_most_three_times(monkeypatch):
+    # the Airy start lies close to the top eigenvalue of a bound radius, so
+    # few starts are rejected, each for one O(r) pivot pass
+    checks, inner = [], ball_spectra._above_spectrum
+
+    def counted(squares, y):
+        checks.append(y)
+        return inner(squares, y)
+
+    monkeypatch.setattr(ball_spectra, "_above_spectrum", counted)
+    for n, r in _bound_query_radii(300, seed=9):
+        checks.clear()
+        ball_spectra._ball_top(n, r)
+        assert 1 <= len(checks) <= 3, (n, r, len(checks))

@@ -158,6 +158,19 @@ def test_essential_covering_radius_bound():
         essential_covering_radius_bound(10, 0)
 
 
+@pytest.mark.parametrize("n", [16_000, 64_000])
+def test_essential_radius_exceeds_the_asymptote_by_the_airy_law(n):
+    # near its truncation at r the ball's top eigenvalue is about
+    # 2b - |a_1| (n - 2r)^(2/3) b^(-1/3), b = sqrt(r(n - r)) and a_1 the first
+    # Airy zero, so r* - rho0 n ~ |a_1| n^(1/3) (rho0 (1 - rho0) / (1 - 2 rho0))^(1/3);
+    # rounding r* alone moves the ratio by up to n^(-1/3), 0.025 at 64,000
+    for delta in (0.1, 0.2, 0.3, 0.4):
+        rho0 = 0.5 - math.sqrt(delta * (1 - delta))
+        predicted = 2.33811 * (rho0 * (1 - rho0) / (1 - 2 * rho0)) ** (1 / 3)
+        r_star = essential_covering_radius_bound(n, round(delta * n))[0]
+        assert abs((r_star - rho0 * n) / n ** (1 / 3) - predicted) <= 0.05, (n, delta)
+
+
 def test_tietavainen_values_and_ordering():
     assert tietavainen_bound(100, 30) == pytest.approx(50 - math.sqrt(1275), abs=1e-12)
     assert tietavainen_bound(100, 30) == pytest.approx(14.293, abs=1e-3)

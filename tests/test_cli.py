@@ -275,6 +275,23 @@ def test_lambda_exits_1_when_the_routes_disagree(capsys, monkeypatch):
     assert rc == 1 and out == "" and "internal disagreement: exact=" in err
 
 
+def test_lambda_trap_accepts_every_small_ball(capsys):
+    for n in range(1, 13):
+        for r in range(n + 1):
+            rc = main(["lambda", "--n", str(n), "--r", str(r), "--exact"])
+            out, err = capsys.readouterr()
+            assert rc == 0 and err == "" and out.startswith("# seed=0\nlambda "), (n, r)
+
+
+@pytest.mark.parametrize("shift", [1e-6, -1e-6])
+@pytest.mark.parametrize("n, r", [(4, 0), (7, 3), (12, 11), (5, 5)])
+def test_lambda_exact_exits_1_when_the_sturm_test_disagrees(capsys, monkeypatch, n, r, shift):
+    monkeypatch.setattr(cli, "lambda_ball_exact", lambda n, r: lambda_ball_exact(n, r) + shift)
+    rc = main(["lambda", "--n", str(n), "--r", str(r), "--exact"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == "" and "internal disagreement" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("argv", [
     ["lambda", "--n", "3", "--r", "1", "--exact"],

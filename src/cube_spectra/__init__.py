@@ -14,11 +14,9 @@ from .bounds import (
     BoundReport,
     ball_size,
     binary_entropy,
-    essential_covering_radius_bound,
     finite_code_bound,
     first_lp_rate,
     rate_table,
-    tietavainen_bound,
 )
 from .codes import (
     Code,
@@ -26,10 +24,8 @@ from .codes import (
     LinearCode,
     SingletonDistanceWarning,
     autocorrelation,
-    dual_code,
     dual_distance,
     enumerate_linear_codes,
-    max_code_size_exact,
     min_distance,
     parse_code_text,
     random_code,
@@ -39,8 +35,6 @@ from .codes import (
 from .cube_fourier import (
     CubeFunction,
     IntCubeFunction,
-    adjacency_apply,
-    adjacency_kernel,
     convolve,
     essential_support_size,
     hamming_weights,

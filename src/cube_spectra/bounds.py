@@ -125,40 +125,6 @@ def rate_report(delta: float) -> BoundReport:
     )
 
 
-def essential_covering_radius_bound(n: int, d: int) -> tuple[int, float]:
-    """Radius certified to cover a 1/n fraction around any dual-distance-d code.
-
-    Returns (r_finite, r_asymptotic): the rigorous finite radius (smallest
-    ball eigenvalue reaching n - 2d + 1) and the closed form
-    n/2 - sqrt(d (n - d)), reported as a real and never floored.  The finite
-    value exceeds the asymptote rho0 n by about
-    |a_1| n^(1/3) (rho0 (1 - rho0) / (1 - 2 rho0))^(1/3), a_1 = -2.33811 the
-    first Airy zero: the ball's top eigenvalue near its truncation at r is
-    about 2b - |a_1| (n - 2r)^(2/3) b^(-1/3), b = sqrt(r(n - r)).  Tests
-    check that law to 0.05 n^(1/3) at n = 16,000 and 64,000.
-    """
-    if not (1 <= d and 2 * d <= n):
-        raise ValueError(f"asymptotic form needs 1 <= d <= n/2, got n={n} d={d}")
-    r_finite = min_radius_for_lambda(n, max(n - 2 * d + 1, 0))
-    r_asymptotic = n / 2.0 - math.sqrt(d * (n - d))
-    return r_finite, r_asymptotic
-
-
-def tietavainen_bound(n: int, d: int) -> float:
-    """Asymptotic comparator n/2 - sqrt((d/2)(n - d/2)) (Tietavainen 1990).
-
-    The covering radius of a code with dual distance d is at most this value
-    only asymptotically, as n grows with d/n fixed; at finite n it is no
-    bound: the [8, 4] code with generators (209, 178, 116, 8) has dual
-    distance 3 and covering radius 3, against 0.878 here.  For d <= n/2 the
-    value exceeds the asymptotic essential bound n/2 - sqrt(d(n - d)).
-    """
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got n={n} d={d}")
-    half = d / 2.0
-    return n / 2.0 - math.sqrt(half * (n - half))
-
-
 def rate_table(deltas) -> list[tuple[float, float]]:
     """Rows (delta, first_lp_rate(delta)); validates each delta."""
     return [(float(d), first_lp_rate(float(d))) for d in deltas]

@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=None, help="grid step over [0, 1/2]")
 
     # common flags last, so usage lines and --help pages list them after the
-    # subcommand's own
+    # subcommand's own; --threads is accepted and changes nothing
     for p in subs.choices.values():
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--tol", type=float, default=1e-9)
@@ -231,7 +231,6 @@ def _cmd_verify(args) -> int:
         "all-linear" if args.all_linear else "random-general",
         trials=args.random,
         seed=args.seed,
-        threads=args.threads,
         tol=args.tol,
     )
     _emit(args, summary, summary.items(), seeded=False)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -222,18 +221,6 @@ def dual_distance(c: Code) -> int:
     return int(w[(t != 0) & (w > 0)].min(initial=c.n + 1))
 
 
-def dual_code(c: LinearCode) -> LinearCode:
-    """Generator of the orthogonal subspace over F2."""
-    pivots = sum(g & -g for g in c.generators)
-    # a free column, plus the pivot of every row that holds it
-    basis = [(1 << col) | sum(g & -g for g in c.generators if g >> col & 1)
-             for col in range(c.n) if not pivots >> col & 1]
-    dual = LinearCode.from_spanning(c.n, basis)
-    if c.dim + dual.dim != c.n:
-        raise ArithmeticError(f"dual has dimension {dual.dim}, not {c.n - c.dim}")
-    return dual
-
-
 def _echelon_rows(n: int, k: int):
     """Yield E(n, k), the echelon generator rows of every k-dim subspace of F2^n.
 
@@ -290,72 +277,6 @@ def random_code(n: int, min_d: int, seed: int = 0) -> Code:
             chosen.append(p)
             blocked[ball ^ p] = True
     return Code(n, tuple(chosen))
-
-
-@lru_cache(maxsize=None)
-def max_code_size_exact(n: int, d: int) -> int:
-    """Exact maximum size of a length-n code with minimal distance d.
-
-    Branch-and-bound maximum clique on the distance->=d graph over all 2^n
-    points, with candidate sets as Python-int bitsets and a greedy-coloring
-    bound.  Supports n <= 8 except (8, 3), which the search does not finish
-    in minutes, so it raises ValueError at once.  d = 1 is the complete graph
-    (whole cube).
-    """
-    if not (1 <= d <= n <= 8):
-        raise ValueError(f"exact search supports 1 <= d <= n <= 8, got n={n} d={d}")
-    if (n, d) == (8, 3):
-        raise ValueError("exact search does not finish for n=8 d=3")
-    if d == 1:
-        return 1 << n
-    size = 1 << n
-    full = (1 << size) - 1
-    adj = []
-    for v in range(size):
-        row = 0
-        for u in range(size):
-            if u != v and (u ^ v).bit_count() >= d:
-                row |= 1 << u
-        adj.append(row)
-
-    # greedy clique in index order seeds the incumbent
-    best = 0
-    cand = full
-    while cand:
-        v = (cand & -cand).bit_length() - 1
-        best += 1
-        cand &= adj[v]
-
-    def color_order(pool: int):
-        order, bounds = [], []
-        color = 0
-        while pool:
-            color += 1
-            avail = pool
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                order.append(v)
-                bounds.append(color)
-                avail &= ~(1 << v) & ~adj[v]
-                pool &= ~(1 << v)
-        return order, bounds
-
-    def expand(pool: int, depth: int):
-        nonlocal best
-        order, bounds = color_order(pool)
-        for i in range(len(order) - 1, -1, -1):
-            if depth + bounds[i] <= best:
-                return
-            v = order[i]
-            if depth + 1 > best:
-                best = depth + 1
-            nxt = pool & adj[v]
-            if nxt:
-                expand(nxt, depth + 1)
-            pool &= ~(1 << v)
-
-    expand(full, 0)
-    return best
 
 
 # --- code files ---------------------------------------------------------------

@@ -10,7 +10,7 @@ inverse is a plain signed sum.  With that convention
     convolve(f, g)(x) = mean over y of f(y) g(x XOR y)
 
 transforms to the pointwise product, and the graph adjacency operator is
-convolution with the kernel returned by :func:`adjacency_kernel`.
+convolution with the kernel that is 2^n at weight 1 and 0 elsewhere.
 
 All values are immutable once constructed and safe to share across threads.
 An exact integer variant (:class:`IntCubeFunction`, :func:`int_wht`) exists
@@ -20,28 +20,26 @@ cannot be trusted.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-ENV_DIMENSION_CAP = "CUBE_SPECTRA_MAX_N"
-
 DEFAULT_TOL = 1e-9
+
+TRANSFORM_DIMENSION_CAP = 28
+SWEEP_DIMENSION_CAP = 24
 
 
 def transform_dimension_cap() -> int:
-    """Largest dimension accepted for dense transforms (default 28)."""
-    raw = os.environ.get(ENV_DIMENSION_CAP)
-    return int(raw) if raw else 28
+    """Largest dimension accepted for dense transforms."""
+    return TRANSFORM_DIMENSION_CAP
 
 
 def sweep_dimension_cap() -> int:
-    """Largest dimension accepted for exact point sweeps (default 24)."""
-    raw = os.environ.get(ENV_DIMENSION_CAP)
-    return int(raw) if raw else 24
+    """Largest dimension accepted for exact point sweeps."""
+    return SWEEP_DIMENSION_CAP
 
 
 def hamming_weights(n: int) -> np.ndarray:
@@ -164,29 +162,6 @@ def convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     out = _butterfly(prod)
     out /= float(1 << f.n) ** 2
     return CubeFunction(f.n, out)
-
-
-def adjacency_apply(f: CubeFunction) -> CubeFunction:
-    """Neighbor sum (Af)(x) = sum of f over the n points at distance 1.
-
-    Accumulates bit-flip shifts in ascending bit order, which makes the
-    result bit-identical to a per-point loop over bits 0..n-1.
-    """
-    out = np.zeros_like(f.values)
-    for i in range(f.n):
-        h = 1 << i
-        out += f.values.reshape(-1, 2, h)[:, ::-1, :].reshape(-1)
-    return CubeFunction(f.n, out)
-
-
-def adjacency_kernel(n: int) -> CubeFunction:
-    """Kernel L with L(x) = 2^n at |x| = 1 and 0 elsewhere.
-
-    Convolving with it applies the adjacency operator, and its transform is
-    n - 2|S|.
-    """
-    vals = np.where(hamming_weights(n) == 1, float(1 << n), 0.0)
-    return CubeFunction(n, vals)
 
 
 def moments(f: CubeFunction) -> tuple[float, float]:

@@ -5,11 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import dense_ball_lambda
+from conftest import dense_ball_lambda, naive_adjacency
 from cube_spectra import (
     BallEigenWitness,
     SubsetGraph,
-    adjacency_apply,
     eigen_recurrence,
     hamming_ball,
     lambda_ball_exact,
@@ -17,7 +16,7 @@ from cube_spectra import (
     lambda_subset_bruteforce,
     min_radius_for_lambda,
 )
-from cube_spectra import ball_spectra
+from cube_spectra import ball_spectra, cube_fourier
 from cube_spectra.ball_spectra import subset_top_eigenpair
 from cube_spectra.bounds import ball_size, finite_code_bound
 
@@ -138,9 +137,9 @@ def test_witness_pointwise_validity():
         w = lambda_for_radius_recurrence(n, r)
         assert w.verify_pointwise(tol=1e-9)
         f = w.lift()
-        af = adjacency_apply(f)
+        af = naive_adjacency(f.values, n)
         assert (f.values >= 0).all()
-        assert (af.values >= (w.lam - 1e-9) * f.values).all()
+        assert (af >= (w.lam - 1e-9) * f.values).all()
 
 
 def test_witness_validation():
@@ -257,7 +256,7 @@ def test_hamming_ball_members():
 def test_weight_lifts_check_the_dimension_cap_first(monkeypatch):
     # the cap must be checked before the 2^n weight table is built: at the
     # default cap, n = 1000 would exhaust memory instead of raising
-    monkeypatch.setenv("CUBE_SPECTRA_MAX_N", "10")
+    monkeypatch.setattr(cube_fourier, "TRANSFORM_DIMENSION_CAP", 10)
     with pytest.raises(ValueError, match="at most 10"):
         hamming_ball(11, 2)
     with pytest.raises(ValueError, match="at most 10"):
@@ -323,8 +322,8 @@ def test_eigen_recurrence_stops_at_the_first_sign_change():
 
 def _dense_pointwise(w, tol):
     f = w.lift()
-    af = adjacency_apply(f)
-    return bool((f.values >= 0).all() and (af.values >= (w.lam - tol) * f.values).all())
+    af = naive_adjacency(f.values, w.n)
+    return bool((f.values >= 0).all() and (af >= (w.lam - tol) * f.values).all())
 
 
 def test_verify_pointwise_agrees_with_the_dense_check():

@@ -11,18 +11,16 @@ from cube_spectra import (
     ball_size,
     binary_entropy,
     dual_distance,
-    essential_covering_radius_bound,
     finite_code_bound,
     first_lp_rate,
     lambda_ball_exact,
-    max_code_size_exact,
     min_radius_for_lambda,
     rate_table,
-    tietavainen_bound,
 )
 from cube_spectra import bounds
 from cube_spectra.bounds import BoundReport, rate_report
 from cube_spectra.lp_witness import _covered_counts, _indicators
+from oracles import essential_covering_radius_bound, max_code_size_exact, tietavainen_bound
 
 
 def test_binary_entropy_values():
@@ -169,6 +167,17 @@ def test_essential_radius_exceeds_the_asymptote_by_the_airy_law(n):
         predicted = 2.33811 * (rho0 * (1 - rho0) / (1 - 2 * rho0)) ** (1 / 3)
         r_star = essential_covering_radius_bound(n, round(delta * n))[0]
         assert abs((r_star - rho0 * n) / n ** (1 / 3) - predicted) <= 0.05, (n, delta)
+
+
+@pytest.mark.parametrize("n", [1_000, 10_000])
+def test_finite_rate_exceeds_the_first_lp_rate_by_n_to_the_minus_two_thirds(n):
+    # r* - rho0 n ~ n^(1/3) above, times H'(rho0), gives a gap of order
+    # n^(-2/3); measured 3.28 to 3.95 times n^(-2/3) at these n
+    for delta in (0.1, 0.2, 0.3, 0.4):
+        d = round(delta * n)
+        r_star = min_radius_for_lambda(n, n - 2 * d + 1)
+        gap = math.log2(n * ball_size(n, r_star)) / n - first_lp_rate(d / n)
+        assert 3.0 <= n ** (2 / 3) * gap <= 4.2, (n, delta)
 
 
 def test_tietavainen_values_and_ordering():

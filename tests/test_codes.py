@@ -23,12 +23,10 @@ from cube_spectra import (
     LinearCode,
     SingletonDistanceWarning,
     autocorrelation,
-    dual_code,
     dual_distance,
     enumerate_linear_codes,
     hamming_weights,
     int_wht,
-    max_code_size_exact,
     min_distance,
     parse_code_text,
     random_code,
@@ -42,6 +40,7 @@ from cube_spectra.codes import (
     weight_spectra,
     write_code_file,
 )
+from oracles import dual_code, max_code_size_exact
 
 
 def gaussian_binomial(n, k):
@@ -356,7 +355,6 @@ def test_random_code_refuses_a_length_past_the_transform_cap_before_allocating()
         "    print(json.dumps([str(exc), time.perf_counter() - t]))\n"
     )
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-    env.pop("CUBE_SPECTRA_MAX_N", None)
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
         check=True, env=env,
@@ -381,14 +379,15 @@ def test_max_code_size_exact_refuses_8_3_within_a_second():
     # the search does not finish (8, 3) in minutes; a child process bounds
     # the time, so a regression fails here instead of stalling the suite
     code = (
-        "import json, time; from cube_spectra import max_code_size_exact as f\n"
+        "import json, sys, time; sys.path.insert(0, sys.argv[1])\n"
+        "from oracles import max_code_size_exact as f\n"
         "t = time.perf_counter()\n"
         "try:\n    f(8, 3)\nexcept ValueError as exc:\n"
         "    print(json.dumps([str(exc), time.perf_counter() - t]))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=20,
-        check=True,
+        [sys.executable, "-c", code, os.path.dirname(__file__)], capture_output=True,
+        text=True, timeout=20, check=True,
     )
     message, seconds = json.loads(proc.stdout)
     assert "n=8 d=3" in message and seconds < 1.0

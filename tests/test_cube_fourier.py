@@ -9,8 +9,6 @@ from conftest import naive_adjacency, naive_convolve, naive_wht
 from cube_spectra import (
     CubeFunction,
     IntCubeFunction,
-    adjacency_apply,
-    adjacency_kernel,
     convolve,
     essential_support_size,
     hamming_weights,
@@ -19,6 +17,8 @@ from cube_spectra import (
     moments,
     wht,
 )
+from cube_spectra import cube_fourier
+from oracles import adjacency_kernel
 
 
 def test_wht_constant_is_delta():
@@ -96,37 +96,30 @@ def test_convolve_dimension_mismatch():
 
 def test_adjacency_delta():
     f = CubeFunction(2, [1.0, 0.0, 0.0, 0.0])
-    assert adjacency_apply(f).values.tolist() == [0.0, 1.0, 1.0, 0.0]
+    assert naive_adjacency(f.values, 2).tolist() == [0.0, 1.0, 1.0, 0.0]
 
 
 def test_adjacency_constant():
     n = 5
-    got = adjacency_apply(CubeFunction(n, np.ones(1 << n))).values
+    got = naive_adjacency(np.ones(1 << n), n)
     assert got.tolist() == [float(n)] * (1 << n)
 
 
 def test_adjacency_on_lifted_profile():
     # profile (1,1,1) over n=2 lifts to all-ones; neighbor sums give profile (2,2,2)
     f = CubeFunction(2, np.ones(4))
-    out = adjacency_apply(f).values
+    out = naive_adjacency(f.values, 2)
     w = hamming_weights(2)
     for i in range(3):
         expected = i * 1 + (2 - i) * 1
         assert all(out[w == i] == expected)
 
 
-def test_adjacency_bit_identical_to_pointwise_loop(rng):
-    for n in (1, 4, 7):
-        vals = rng.standard_normal(1 << n)
-        got = adjacency_apply(CubeFunction(n, vals)).values
-        assert got.tolist() == naive_adjacency(vals, n).tolist()  # exact
-
-
 def test_adjacency_agrees_with_kernel_convolution(rng):
     for n in (2, 5, 9):
         f = CubeFunction(n, rng.standard_normal(1 << n))
         via_conv = convolve(f, adjacency_kernel(n)).values
-        assert np.max(np.abs(adjacency_apply(f).values - via_conv)) < 1e-12
+        assert np.max(np.abs(naive_adjacency(f.values, n) - via_conv)) < 1e-12
 
 
 def test_moments_indicator():
@@ -201,10 +194,10 @@ def test_validation_errors():
 
 
 def test_dimension_cap_env_override(monkeypatch):
-    monkeypatch.setenv("CUBE_SPECTRA_MAX_N", "3")
+    monkeypatch.setattr(cube_fourier, "TRANSFORM_DIMENSION_CAP", 3)
     with pytest.raises(ValueError, match=r"\[1, 3\]"):
         CubeFunction(4, np.zeros(16))
-    monkeypatch.delenv("CUBE_SPECTRA_MAX_N")
+    monkeypatch.undo()
     CubeFunction(4, np.zeros(16))  # fine again
 
 

@@ -9,13 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import even_weight_code, hamming_7_4, naive_covered_counts
+from conftest import even_weight_code, hamming_7_4, naive_adjacency, naive_covered_counts
 from cube_spectra import (
     Code,
     LinearCode,
     SubsetGraph,
     VerificationError,
-    adjacency_apply,
     build_covering_witness,
     check_covering,
     check_prop_ineq,
@@ -105,7 +104,8 @@ def test_phi_single_point():
 
 
 def test_phi_linear_is_multiple_of_dual_indicator():
-    from cube_spectra import LinearCode, dual_code
+    from cube_spectra import LinearCode
+    from oracles import dual_code
 
     lc = LinearCode.from_spanning(5, [0b10101, 0b01111])
     phi = phi_from_code(lc.expand())
@@ -230,7 +230,7 @@ def test_covered_fraction_examples():
 
 
 def test_covered_fraction_cap(monkeypatch):
-    monkeypatch.setenv("CUBE_SPECTRA_MAX_N", "3")
+    monkeypatch.setattr(cube_fourier, "SWEEP_DIMENSION_CAP", 3)
     with pytest.raises(ValueError, match="capped"):
         covered_fraction(Code(4, (0,)), 1)
 
@@ -598,8 +598,8 @@ def test_witness_convolution_eigen_inequality():
         c = random_code(n, 2, seed=n)
         w = lambda_for_radius_recurrence(n, r)
         F = build_covering_witness(c, w)
-        AF = adjacency_apply(F)
-        assert (AF.values >= (w.lam - 1e-9) * F.values - 1e-9).all()
+        AF = naive_adjacency(F.values, n)
+        assert (AF >= (w.lam - 1e-9) * F.values - 1e-9).all()
 
 
 def test_spectral_cutoff_identity(rng):
@@ -608,8 +608,8 @@ def test_spectral_cutoff_identity(rng):
     c = random_code(n, 3, seed=11)
     w = lambda_for_radius_recurrence(n, 2)
     F = build_covering_witness(c, w)
-    AF = adjacency_apply(F)
-    lhs = float((AF.values * F.values).mean())
+    AF = naive_adjacency(F.values, n)
+    lhs = float((AF * F.values).mean())
     fhat = wht(F).values
     weights = hamming_weights(n).astype(np.float64)
     rhs = float(((n - 2 * weights) * fhat * fhat).sum())

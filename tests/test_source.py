@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import cube_spectra
@@ -36,3 +37,20 @@ def test_every_imported_name_is_used():
                    for name in (a.asname or a.name.split(".")[0] for a in node.names)
                    if name not in used and (f.stem, name) not in allowed]
     assert unused == []
+
+
+def test_the_package_imports_only_itself_numpy_and_the_standard_library():
+    # pytest puts tests/ on sys.path, so a package import of oracles or
+    # conftest would pass the suite and break the installed CLI
+    foreign = []
+    for f in FILES:
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            foreign += [(f.stem, name) for name in names
+                        if name.split(".")[0] not in {"numpy", *sys.stdlib_module_names}]
+    assert foreign == []

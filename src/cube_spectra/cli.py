@@ -120,11 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=None, help="grid step over [0, 1/2]")
 
     # common flags last, so usage lines and --help pages list them after the
-    # subcommand's own; --threads is accepted and changes nothing
-    for p in subs.choices.values():
+    # subcommand's own; every output echoes --seed, only verify reads --tol
+    for name, p in subs.choices.items():
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--threads", type=int, default=1)
+        if name == "verify":
+            p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -152,7 +152,7 @@ def _cmd_lambda(args) -> int:
     if 1 <= n <= 12:
         exact = lambda_ball_exact(n, r)
         rec = lambda_for_radius_recurrence(n, r).lam
-        tol = max(args.tol, 1e-7)
+        tol = 1e-7
         if not all(
             x - tol <= n and min_radius_for_lambda(n, x - tol) <= r
             < (min_radius_for_lambda(n, x + tol) if x + tol <= n else n + 1)
@@ -193,6 +193,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not math.isfinite(args.tol):
+        raise ValueError(f"--tol must be finite, got {args.tol}")
     single = args.code is not None
     if single:  # --n, --all-linear and --random pick a family; --r and --d apply to one code
         stray = (("--n", args.n), ("--all-linear", args.all_linear or None),
@@ -283,8 +285,6 @@ def _cmd_rate_table(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not math.isfinite(args.tol):
-            raise ValueError(f"--tol must be finite, got {args.tol}")
         return args.run(args)
     except lp_witness.VerificationError as exc:
         sys.stderr.write(str(exc) + "\n")

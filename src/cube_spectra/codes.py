@@ -1,4 +1,4 @@
-"""Binary codes as bitmask sets: distances, duals, enumeration, and file i/o.
+"""Binary codes as bitmask sets: distances, enumeration, and file i/o.
 
 A code is a nonempty subset of {0,1}^n stored as a sorted tuple of bitmasks;
 a linear code is stored by its reduced row-echelon generator matrix over F2,

@@ -115,6 +115,17 @@ def test_finite_code_bound_structure():
         finite_code_bound(4, 5)
 
 
+@pytest.mark.xfail(raises=ValueError, strict=True,
+                   reason="the long-double witness head underflows past 2^2045")
+def test_finite_code_bound_returns_a_report_past_the_underflow_edge():
+    # today this raises "witness profile must be positive and finite"; the
+    # integer certificate that fixes it must also delete this marker
+    rep = finite_code_bound(30000, 6000)
+    cert = rep.certificate
+    w = BallEigenWitness(cert["n"], cert["r"], cert["lambda"], cert["profile"])
+    assert rep.r_star == cert["r"] and w.verify_pointwise(tol=1e-9)
+
+
 def test_finite_code_bound_json_big_integer():
     rep = finite_code_bound(256, 26)
     d = rep.to_json_dict()

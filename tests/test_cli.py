@@ -294,19 +294,55 @@ def test_lambda_exact_exits_1_when_the_sturm_test_disagrees(capsys, monkeypatch,
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("argv", [
-    ["lambda", "--n", "3", "--r", "1", "--exact"],
-    ["bound", "--n", "7", "--d", "3"],
     ["verify", "--n", "3", "--all-linear"],
     ["verify", "--code", "@rep4", "--r", "1"],
-    ["wht", "--code", "@rep4"],
-    ["cover", "--code", "@rep4", "--r", "1"],
-    ["rate-table", "--step", "0.25"],
-])
+], ids=["all-linear", "code"])
 def test_non_finite_tol_exits_2(capsys, rep4, argv, tol):
     argv = [rep4 if a == "@rep4" else a for a in argv]
     rc = main([*argv, f"--tol={tol}"])
     out, err = capsys.readouterr()
     assert rc == 2 and out == "" and "--tol must be finite" in err
+
+
+# one invocation per subcommand, each from the README's CLI section
+_DOCUMENTED = {
+    "lambda": ["lambda", "--n", "4", "--r", "2", "--exact"],
+    "bound": ["bound", "--n", "7", "--d", "3"],
+    "verify": ["verify", "--code", "@even4", "--r", "1"],
+    "wht": ["wht", "--code", "@rep4"],
+    "cover": ["cover", "--code", "@rep4", "--r", "1"],
+    "rate-table": ["rate-table", "--deltas", "0,0.1,0.5"],
+}
+
+
+def _documented(name, rep4, even4):
+    return [{"@rep4": rep4, "@even4": even4}.get(a, a) for a in _DOCUMENTED[name]]
+
+
+@pytest.mark.parametrize("name, flag", [
+    *((name, ["--threads", "1"]) for name in _DOCUMENTED),
+    *((name, ["--tol", "1e-9"]) for name in _DOCUMENTED if name != "verify"),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_removed_flags_exit_2(capsys, rep4, even4, name, flag):
+    # before, these flags were accepted and changed no output byte
+    with pytest.raises(SystemExit) as exc:
+        main([*_documented(name, rep4, even4), *flag])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+
+@pytest.mark.parametrize("name", list(_DOCUMENTED))
+def test_every_common_flag_changes_the_result(capsys, rep4, even4, name):
+    argv = _documented(name, rep4, even4)
+    rc, plain = run_cli(capsys, *argv)
+    assert rc == 0
+    for flag in (["--format", "json"], ["--seed", "1"]):
+        rc, out = run_cli(capsys, *argv, *flag)
+        assert rc == 0 and out != plain, flag
+    if name == "verify":
+        # a negative tolerance reads every report of the pinned case as violated
+        assert run_cli(capsys, *argv, "--tol", "-0.5")[0] == 1
 
 
 def test_rate_table_domain_error(capsys):

@@ -94,18 +94,13 @@ def test_convolve_dimension_mismatch():
         convolve(CubeFunction(1, [1, 0]), CubeFunction(2, [1, 0, 0, 0]))
 
 
-def test_adjacency_delta():
+def test_naive_adjacency_examples():
+    # the oracle on a delta, a constant and a lifted profile
     f = CubeFunction(2, [1.0, 0.0, 0.0, 0.0])
     assert naive_adjacency(f.values, 2).tolist() == [0.0, 1.0, 1.0, 0.0]
-
-
-def test_adjacency_constant():
     n = 5
     got = naive_adjacency(np.ones(1 << n), n)
     assert got.tolist() == [float(n)] * (1 << n)
-
-
-def test_adjacency_on_lifted_profile():
     # profile (1,1,1) over n=2 lifts to all-ones; neighbor sums give profile (2,2,2)
     f = CubeFunction(2, np.ones(4))
     out = naive_adjacency(f.values, 2)
@@ -193,7 +188,7 @@ def test_validation_errors():
     assert IntCubeFunction(2, [1.0, True, 0, -3]).values.tolist() == [1, 1, 0, -3]
 
 
-def test_dimension_cap_env_override(monkeypatch):
+def test_dimension_cap_is_read_at_call_time(monkeypatch):
     monkeypatch.setattr(cube_fourier, "TRANSFORM_DIMENSION_CAP", 3)
     with pytest.raises(ValueError, match=r"\[1, 3\]"):
         CubeFunction(4, np.zeros(16))

@@ -294,14 +294,26 @@ def test_lambda_exact_exits_1_when_the_sturm_test_disagrees(capsys, monkeypatch,
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("argv", [
+    ["lambda", "--n", "3", "--r", "1", "--exact"],
+    ["bound", "--n", "7", "--d", "3"],
     ["verify", "--n", "3", "--all-linear"],
     ["verify", "--code", "@rep4", "--r", "1"],
-], ids=["all-linear", "code"])
+    ["wht", "--code", "@rep4"],
+    ["cover", "--code", "@rep4", "--r", "1"],
+    ["rate-table", "--step", "0.25"],
+])
 def test_non_finite_tol_exits_2(capsys, rep4, argv, tol):
     argv = [rep4 if a == "@rep4" else a for a in argv]
-    rc = main([*argv, f"--tol={tol}"])
+    if argv[0] == "verify":
+        rc = main([*argv, f"--tol={tol}"])
+        expected = "--tol must be finite"
+    else:
+        # only verify has --tol; argparse refuses it elsewhere
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--tol={tol}"])
+        rc, expected = exc.value.code, f"unrecognized arguments: --tol={tol}"
     out, err = capsys.readouterr()
-    assert rc == 2 and out == "" and "--tol must be finite" in err
+    assert rc == 2 and out == "" and expected in err
 
 
 # one invocation per subcommand, each from the README's CLI section

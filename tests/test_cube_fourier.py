@@ -94,13 +94,18 @@ def test_convolve_dimension_mismatch():
         convolve(CubeFunction(1, [1, 0]), CubeFunction(2, [1, 0, 0, 0]))
 
 
-def test_naive_adjacency_examples():
-    # the oracle on a delta, a constant and a lifted profile
+def test_adjacency_delta():
     f = CubeFunction(2, [1.0, 0.0, 0.0, 0.0])
     assert naive_adjacency(f.values, 2).tolist() == [0.0, 1.0, 1.0, 0.0]
+
+
+def test_adjacency_constant():
     n = 5
     got = naive_adjacency(np.ones(1 << n), n)
     assert got.tolist() == [float(n)] * (1 << n)
+
+
+def test_adjacency_on_lifted_profile():
     # profile (1,1,1) over n=2 lifts to all-ones; neighbor sums give profile (2,2,2)
     f = CubeFunction(2, np.ones(4))
     out = naive_adjacency(f.values, 2)

@@ -1,9 +1,11 @@
 """Command-line surface.
 
-Every subcommand is a thin wrapper over the library: no numeric logic lives
-here.  Output is deterministic byte-for-byte for a fixed invocation: reals
-are printed with 9 significant digits, JSON keys are emitted in a fixed
-order, and the seed is echoed into json/text headers.
+Every subcommand is a thin wrapper over the library.  The one numeric check
+here is the ``lambda`` trap: for n <= 12 each route's value must agree with
+exact Sturm counts, or the command exits 1.  Output is deterministic
+byte-for-byte for a fixed invocation: reals are printed with 9 significant
+digits, JSON keys are emitted in a fixed order, and the seed is echoed into
+json/text headers.
 
 There is one output path.  A handler builds its result three ways (a JSON
 record, text rows and, where the subcommand has fixed columns, csv rows)
@@ -124,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, p in subs.choices.items():
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         if name == "verify":
-            p.add_argument("--tol", type=float, default=1e-9)
+            p.add_argument("--tol", type=float, default=lp_witness.DEFAULT_TOL)
         p.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -281,64 +281,54 @@ def random_code(n: int, min_d: int, seed: int = 0) -> Code:
 
 # --- code files ---------------------------------------------------------------
 #
-# UTF-8 text, one codeword per line.  Either 0/1 strings, all of the same
-# length n (leftmost character is coordinate n-1), or 0x-prefixed hex words
-# together with an explicit "n=<int>" header line.  '#' starts a comment.
+# UTF-8 text, one codeword per line; '#' starts a comment and blank lines are
+# skipped.  A word is either a 0/1 string (leftmost character is coordinate
+# n-1), all of one length, or a 0x-prefixed hex word.  An "n=<int>" header
+# line may come anywhere in the file, spaces inside it are ignored, and it
+# may be repeated only with the same value.  Hex words need the header; 0/1
+# and hex words may be mixed only when the header equals the 0/1 length.
 
 def parse_code_text(text: str) -> Code:
-    n_header = None
-    words: list[tuple[int, str]] = []
+    n_header, words = None, []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
         compact = line.replace(" ", "")
         if compact.lower().startswith("n="):
             try:
-                n_header = int(compact[2:])
+                value = int(compact[2:])
             except ValueError:
                 raise CodeFileError(f"line {lineno}: bad header {line!r}") from None
-            if n_header < 1:
+            if value < 1:
                 raise CodeFileError(f"line {lineno}: n must be positive")
-            continue
-        words.append((lineno, line))
+            if n_header not in (None, value):
+                raise CodeFileError(f"line {lineno}: n={value} conflicts with n={n_header}")
+            n_header = value
+        elif line:
+            words.append((lineno, line))
     if not words:
         raise CodeFileError("no codewords found")
 
-    bit_lengths = set()
-    masks = []
+    n_bits, masks = None, []
     for lineno, word in words:
-        if word.lower().startswith("0x"):
-            if n_header is None:
-                raise CodeFileError(
-                    f"line {lineno}: hex codewords require an n=<int> header"
-                )
+        if set(word) <= {"0", "1"}:
+            if n_bits not in (None, len(word)):
+                raise CodeFileError(f"line {lineno}: codeword length {len(word)} "
+                                    f"differs from {{{n_bits}}}")
+            n_bits = len(word)
+            masks.append(int(word, 2))
+        elif not word.lower().startswith("0x"):
+            raise CodeFileError(f"line {lineno}: not a 0/1 or 0x word: {word!r}")
+        elif n_header is None:
+            raise CodeFileError(f"line {lineno}: hex codewords require an n=<int> header")
+        else:
             try:
                 masks.append(int(word, 16))
             except ValueError:
                 raise CodeFileError(f"line {lineno}: bad hex word {word!r}") from None
-        elif set(word) <= {"0", "1"}:
-            bit_lengths.add(len(word))
-            if len(bit_lengths) > 1:
-                raise CodeFileError(
-                    f"line {lineno}: codeword length {len(word)} differs from "
-                    f"{bit_lengths - {len(word)}}"
-                )
-            masks.append(int(word, 2))
-        else:
-            raise CodeFileError(f"line {lineno}: not a 0/1 or 0x word: {word!r}")
-
-    if bit_lengths:
-        n_bits = bit_lengths.pop()
-        if n_header is not None and n_header != n_bits:
-            raise CodeFileError(
-                f"header says n={n_header} but codewords have length {n_bits}"
-            )
-        n = n_bits
-    else:
-        n = n_header
+    if n_bits and n_header and n_header != n_bits:
+        raise CodeFileError(f"header says n={n_header} but codewords have length {n_bits}")
     try:
-        return Code(n, tuple(masks))
+        return Code(n_bits or n_header, tuple(masks))
     except ValueError as exc:
         raise CodeFileError(str(exc)) from None
 

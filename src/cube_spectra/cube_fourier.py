@@ -26,8 +26,6 @@ from math import comb
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
-
 TRANSFORM_DIMENSION_CAP = 28
 SWEEP_DIMENSION_CAP = 24
 

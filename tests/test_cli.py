@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -429,6 +430,35 @@ def test_input_errors_exit_2(capsys, tmp_path, rep4, text, argv, message):
     rc = main([*argv, "--code", str(path)])
     out, err = capsys.readouterr()
     assert rc == 2 and out == "" and message in err
+
+
+def test_conflicting_code_file_headers_exit_2(capsys, tmp_path):
+    # taking the last header would read this as a length-4 code
+    path = tmp_path / "two_headers.txt"
+    path.write_text("n=3\nn=4\n0x1\n")
+    rc = main(["wht", "--code", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and err == "error: line 2: n=4 conflicts with n=3\n"
+
+
+def _readme_cli_lines():
+    """The argv of each command in the fenced block under README's "## CLI"."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+def test_readme_cli_examples_exit_0(even4):
+    lines = _readme_cli_lines()
+    assert len(lines) == 12 and all(line[0] == "cube-spectra" for line in lines)
+    lines = [line[1:] for line in lines]
+    for argv in lines:
+        argv = [even4 if a == "code.txt" else a for a in argv]
+        assert main(argv) == 0, argv
+    # each _DOCUMENTED invocation begins one README line
+    for name in _DOCUMENTED:
+        doc = ["code.txt" if a.startswith("@") else a for a in _DOCUMENTED[name]]
+        assert any(line[: len(doc)] == doc for line in lines), name
 
 
 def test_console_entry_point_runs():

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     even_weight_code,
@@ -419,8 +421,43 @@ def test_code_file_errors():
         parse_code_text("n=2\n0x7\n")
 
 
+def test_code_file_conflicting_headers_fail():
+    with pytest.raises(CodeFileError, match=r"^line 2: n=4 conflicts with n=3$"):
+        parse_code_text("n=3\nn=4\n0x1\n")
+    # after the words too, and ahead of the word errors
+    with pytest.raises(CodeFileError, match=r"^line 3: n=2 conflicts with n=3$"):
+        parse_code_text("n=3\n01a1\nn = 2\n")
+
+
+def test_code_file_repeated_and_trailing_headers():
+    assert parse_code_text("n=3\n n = 3 \n0x1\nN=3\n") == Code(3, (1,))
+    assert parse_code_text("0x1\nn=3\n") == Code(3, (1,))
+
+
 def test_code_file_round_trip(tmp_path):
     c = random_code(6, 2, seed=4)
     path = tmp_path / "code.txt"
     write_code_file(c, path)
     assert read_code_file(path) == c
+
+
+@st.composite
+def codes_up_to_12(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    points = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
+    return Code(n, tuple(points))
+
+
+@settings(deadline=None, max_examples=200)
+@given(c=codes_up_to_12(), data=st.data())
+def test_code_file_forms_parse_back(c, data):
+    assert parse_code_text(format_code_text(c)) == c
+    lines = [
+        data.draw(st.sampled_from(["0x{:x}", "0X{:X}", "0x{:04x}"])).format(p)
+        for p in c.points
+    ]
+    header = " ".join(f"n={c.n}") if data.draw(st.booleans()) else f" n = {c.n} "
+    lines.insert(data.draw(st.integers(0, len(lines))), header)
+    for extra in data.draw(st.lists(st.sampled_from(["", "   ", "# a comment", "#n=99"]))):
+        lines.insert(data.draw(st.integers(0, len(lines))), extra)
+    assert parse_code_text("\n".join(lines)) == c

@@ -94,25 +94,34 @@ def test_convolve_dimension_mismatch():
         convolve(CubeFunction(1, [1, 0]), CubeFunction(2, [1, 0, 0, 0]))
 
 
+def _kernel_adjacency(f):
+    """The adjacency operator as the library computes it: convolution with the kernel."""
+    return convolve(f, adjacency_kernel(f.n)).values
+
+
 def test_adjacency_delta():
     f = CubeFunction(2, [1.0, 0.0, 0.0, 0.0])
     assert naive_adjacency(f.values, 2).tolist() == [0.0, 1.0, 1.0, 0.0]
+    assert np.max(np.abs(_kernel_adjacency(f) - [0.0, 1.0, 1.0, 0.0])) < 1e-12
 
 
 def test_adjacency_constant():
     n = 5
     got = naive_adjacency(np.ones(1 << n), n)
     assert got.tolist() == [float(n)] * (1 << n)
+    assert np.max(np.abs(_kernel_adjacency(CubeFunction(n, np.ones(1 << n))) - n)) < 1e-12
 
 
 def test_adjacency_on_lifted_profile():
     # profile (1,1,1) over n=2 lifts to all-ones; neighbor sums give profile (2,2,2)
     f = CubeFunction(2, np.ones(4))
     out = naive_adjacency(f.values, 2)
+    via_conv = _kernel_adjacency(f)
     w = hamming_weights(2)
     for i in range(3):
         expected = i * 1 + (2 - i) * 1
         assert all(out[w == i] == expected)
+        assert np.max(np.abs(via_conv[w == i] - expected)) < 1e-12
 
 
 def test_adjacency_agrees_with_kernel_convolution(rng):

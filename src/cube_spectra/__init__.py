@@ -46,12 +46,10 @@ from .cube_fourier import (
 from .lp_witness import (
     PropositionReport,
     VerificationError,
-    build_covering_witness,
     check_covering,
     check_prop_ineq,
     covered_fraction,
     exhaustive_verify,
-    phi_from_code,
 )
 
 __version__ = "0.1.0"

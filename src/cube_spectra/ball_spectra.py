@@ -312,11 +312,13 @@ def min_radius_for_lambda(n: int, target: float) -> int:
     recurrence of :func:`eigen_recurrence` at lam = target, scaled by
     b^k n!/(n-k)!).  By Sturm, T_k's top eigenvalue reaches the target
     exactly when Q_k <= 0 first, so r* = k - 1.  No ball suffices when
-    target > n (the cube is n-regular).
+    target > n (the cube is n-regular), and r = 0 meets every target <= 0.
     """
+    if math.isnan(target):
+        raise ValueError(f"target eigenvalue must be a number, got {target}")
     if target > n:
         raise ValueError(f"no ball of dimension {n} reaches eigenvalue {target}")
-    a, b = float(target).as_integer_ratio()
+    a, b = float(max(target, 0.0)).as_integer_ratio()
     prev, cur = 1, a
     for k in range(1, n + 1):
         if cur <= 0:

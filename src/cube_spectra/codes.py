@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cube_fourier
 from .cube_fourier import (
     CubeFunction,
     IntCubeFunction,
@@ -20,7 +21,6 @@ from .cube_fourier import (
     hamming_weights,
     int_wht,
     krawtchouk,
-    transform_dimension_cap,
 )
 
 
@@ -57,7 +57,7 @@ class Code:
         return CubeFunction(self.n, self.int_indicator().values)
 
     def int_indicator(self) -> IntCubeFunction:
-        if self.n > (cap := transform_dimension_cap()):  # before allocating 2^n
+        if self.n > (cap := cube_fourier.TRANSFORM_DIMENSION_CAP):  # before allocating 2^n
             raise ValueError(f"dimension must be in [1, {cap}], got {self.n}")
         vals = np.zeros(1 << self.n, dtype=np.int64)
         vals[list(self.points)] = 1
@@ -288,6 +288,13 @@ def random_code(n: int, min_d: int, seed: int = 0) -> Code:
 # may be repeated only with the same value.  Hex words need the header; 0/1
 # and hex words may be mixed only when the header equals the 0/1 length.
 
+def _ascii_int(s: str, base: int) -> int:
+    """int(s, base) of ASCII letters and digits only: no sign, _, space or other script."""
+    if not (s.isascii() and s.isalnum()):
+        raise ValueError(f"not an ASCII base-{base} number: {s!r}")
+    return int(s, base)
+
+
 def parse_code_text(text: str) -> Code:
     n_header, words = None, []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -295,7 +302,7 @@ def parse_code_text(text: str) -> Code:
         compact = line.replace(" ", "")
         if compact.lower().startswith("n="):
             try:
-                value = int(compact[2:])
+                value = _ascii_int(compact[2:], 10)
             except ValueError:
                 raise CodeFileError(f"line {lineno}: bad header {line!r}") from None
             if value < 1:
@@ -322,7 +329,7 @@ def parse_code_text(text: str) -> Code:
             raise CodeFileError(f"line {lineno}: hex codewords require an n=<int> header")
         else:
             try:
-                masks.append(int(word, 16))
+                masks.append(_ascii_int(word[2:], 16))
             except ValueError:
                 raise CodeFileError(f"line {lineno}: bad hex word {word!r}") from None
     if n_bits and n_header and n_header != n_bits:

@@ -26,13 +26,8 @@ from math import comb
 
 import numpy as np
 
-TRANSFORM_DIMENSION_CAP = 28
+TRANSFORM_DIMENSION_CAP = 28  # largest dimension for dense transforms; read at call time
 SWEEP_DIMENSION_CAP = 24
-
-
-def transform_dimension_cap() -> int:
-    """Largest dimension accepted for dense transforms."""
-    return TRANSFORM_DIMENSION_CAP
 
 
 def sweep_dimension_cap() -> int:
@@ -42,8 +37,8 @@ def sweep_dimension_cap() -> int:
 
 def hamming_weights(n: int) -> np.ndarray:
     """Read-only array of popcounts for every index in [0, 2^n), n within the cap."""
-    if n > (cap := transform_dimension_cap()):
-        raise ValueError(f"dimension must be at most {cap}, got {n}")
+    if n > TRANSFORM_DIMENSION_CAP:
+        raise ValueError(f"dimension must be at most {TRANSFORM_DIMENSION_CAP}, got {n}")
     return _hamming_weights(n)
 
 
@@ -71,9 +66,8 @@ def krawtchouk(n: int) -> np.ndarray:
 
 def _checked_values(n: int, values, dtype) -> np.ndarray:
     """Frozen flat copy of 2^n values; n must be within the transform cap."""
-    cap = transform_dimension_cap()
-    if not 1 <= n <= cap:
-        raise ValueError(f"dimension must be in [1, {cap}], got {n}")
+    if not 1 <= n <= TRANSFORM_DIMENSION_CAP:
+        raise ValueError(f"dimension must be in [1, {TRANSFORM_DIMENSION_CAP}], got {n}")
     out = np.array(values, dtype=dtype, copy=True).reshape(-1)
     if out.shape != (1 << n,):
         raise ValueError(f"expected {1 << n} values for n={n}, got {out.shape[0]}")

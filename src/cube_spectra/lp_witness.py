@@ -61,7 +61,6 @@ from typing import Optional
 import numpy as np
 
 from .ball_spectra import (
-    BallEigenWitness,
     SubsetGraph,
     lambda_ball_exact,  # noqa: F401  unused here; perfbench/spans.py wraps it by name
     lambda_for_radius_recurrence,
@@ -81,9 +80,9 @@ from .codes import (
 )
 from .cube_fourier import (
     CubeFunction,
-    convolve,
+    convolve,  # noqa: F401  unused here; perfbench/spans.py wraps it by name
     essential_support_size,
-    inverse_wht,
+    inverse_wht,  # noqa: F401  unused here; perfbench/spans.py wraps it by name
     krawtchouk,
     sweep_dimension_cap,
     wht,
@@ -156,30 +155,6 @@ def _check_tol(tol: float) -> None:
 
 def _premise_ok(n: int, d, lam, tol: float):
     return lam >= n - 2 * d + 1 - tol
-
-
-# --- witness construction ------------------------------------------------------
-
-def phi_from_code(c: Code) -> CubeFunction:
-    """Function whose squared transform is the autocorrelation of the code.
-
-    The nonnegative square root is taken at every point, which keeps phi
-    real, makes phi * phi nonnegative, and for a linear code reproduces a
-    positive multiple of the dual indicator exactly.  The defining ratio
-    mean(phi^2) / mean(phi)^2 equals |C|.
-    """
-    return inverse_wht(CubeFunction(c.n, np.sqrt(autocorrelation(c).values)))
-
-
-def build_covering_witness(cprime: Code, w: BallEigenWitness) -> CubeFunction:
-    """F = indicator of C' convolved with the lifted ball eigenfunction.
-
-    Nonnegative, and supported on the union of witness-support translates
-    centered at the codewords.
-    """
-    if w.n != cprime.n:
-        raise ValueError(f"dimension mismatch: code n={cprime.n}, witness n={w.n}")
-    return convolve(cprime.indicator(), w.lift())
 
 
 # --- covered unions -------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Each function states a fact the library's fast paths must agree with: the
 optimum code size by exhaustive search, the dual of a linear code, the
-adjacency operator as a convolution kernel, and the asymptotic covering
-radii that the finite bounds are compared against.
+adjacency operator as a convolution kernel, the asymptotic covering radii
+that the finite bounds are compared against, and the paper's two dense
+witnesses, phi (with F = phi * f for the size bound) and F = 1_C * f for
+the covering bound, whose moments the library reads off weight space.
 """
 
 import math
@@ -11,7 +13,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from cube_spectra import CubeFunction, LinearCode, hamming_weights, min_radius_for_lambda
+from cube_spectra import (
+    BallEigenWitness,
+    Code,
+    CubeFunction,
+    LinearCode,
+    autocorrelation,
+    convolve,
+    hamming_weights,
+    inverse_wht,
+    min_radius_for_lambda,
+)
 
 
 @lru_cache(maxsize=None)
@@ -100,6 +112,28 @@ def adjacency_kernel(n: int) -> CubeFunction:
     """
     vals = np.where(hamming_weights(n) == 1, float(1 << n), 0.0)
     return CubeFunction(n, vals)
+
+
+def phi_from_code(c: Code) -> CubeFunction:
+    """Function whose squared transform is the autocorrelation of the code.
+
+    The nonnegative square root is taken at every point, which keeps phi
+    real, makes phi * phi nonnegative, and for a linear code reproduces a
+    positive multiple of the dual indicator exactly.  The defining ratio
+    mean(phi^2) / mean(phi)^2 equals |C|.
+    """
+    return inverse_wht(CubeFunction(c.n, np.sqrt(autocorrelation(c).values)))
+
+
+def build_covering_witness(cprime: Code, w: BallEigenWitness) -> CubeFunction:
+    """F = indicator of C' convolved with the lifted ball eigenfunction.
+
+    Nonnegative, and supported on the union of witness-support translates
+    centered at the codewords.
+    """
+    if w.n != cprime.n:
+        raise ValueError(f"dimension mismatch: code n={cprime.n}, witness n={w.n}")
+    return convolve(cprime.indicator(), w.lift())
 
 
 def essential_covering_radius_bound(n: int, d: int) -> tuple[int, float]:

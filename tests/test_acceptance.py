@@ -32,14 +32,18 @@ from cube_spectra import (
     lambda_ball_exact,
     lambda_for_radius_recurrence,
     lambda_subset_bruteforce,
-    phi_from_code,
     random_code,
     wht,
     write_code_file,
 )
 from cube_spectra.cube_fourier import IntCubeFunction
 from cube_spectra.lp_witness import VERDICT_HOLDS
-from oracles import essential_covering_radius_bound, max_code_size_exact, tietavainen_bound
+from oracles import (
+    essential_covering_radius_bound,
+    max_code_size_exact,
+    phi_from_code,
+    tietavainen_bound,
+)
 
 
 def report(num: int, ok: bool, detail: str) -> None:

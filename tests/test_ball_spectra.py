@@ -237,6 +237,15 @@ def test_min_radius_for_lambda_examples():
         min_radius_for_lambda(4, 4.5)
 
 
+def test_min_radius_for_lambda_non_finite_targets():
+    # lambda(B(0)) = 0 meets every target <= 0; nan must not reach the integer ratio
+    assert min_radius_for_lambda(6, -math.inf) == min_radius_for_lambda(6, -3) == 0
+    with pytest.raises(ValueError, match="nan"):
+        min_radius_for_lambda(6, math.nan)
+    with pytest.raises(ValueError, match="no ball"):
+        min_radius_for_lambda(6, math.inf)
+
+
 def test_min_radius_is_minimal():
     for n in (5, 9):
         for target in (0.5, 1.7, n - 0.5):

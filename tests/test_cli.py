@@ -441,6 +441,15 @@ def test_conflicting_code_file_headers_exit_2(capsys, tmp_path):
     assert rc == 2 and out == "" and err == "error: line 2: n=4 conflicts with n=3\n"
 
 
+def test_non_ascii_header_digits_exit_2(capsys, tmp_path):
+    # int() reads the fullwidth four as 4
+    path = tmp_path / "wide_digit.txt"
+    path.write_text("n=\uff14\n0x1\n", encoding="utf-8")
+    rc = main(["wht", "--code", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and err == "error: line 1: bad header 'n=\uff14'\n"
+
+
 def _readme_cli_lines():
     """The argv of each command in the fenced block under README's "## CLI"."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()

@@ -434,6 +434,25 @@ def test_code_file_repeated_and_trailing_headers():
     assert parse_code_text("0x1\nn=3\n") == Code(3, (1,))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n=1_0\n0x1\n", "bad header"),
+    ("n=+4\n0x1\n", "bad header"),
+    ("n=\u0664\n0x1\n", "bad header"),  # Arabic-Indic four
+    ("n=\uff14\n0x1\n", "bad header"),  # fullwidth four
+    ("n=\n0x1\n", "bad header"),
+    ("n=10\n0x1_f\n", "bad hex word"),
+    ("n=4\n0x_f\n", "bad hex word"),
+    ("n=4\n0x+f\n", "bad hex word"),
+    ("n=4\n0x\uff46\n", "bad hex word"),  # fullwidth f
+    ("n=4\n0x\n", "bad hex word"),
+    ("n=" + "1" * 5000 + "\n0x1\n", "bad header"),  # past int()'s digit limit
+])
+def test_code_file_accepts_only_ascii_digits(text, message):
+    # int() would read each of these: n=1_0 with 0x1_f as Code(10, (31,))
+    with pytest.raises(CodeFileError, match=message):
+        parse_code_text(text)
+
+
 def test_code_file_round_trip(tmp_path):
     c = random_code(6, 2, seed=4)
     path = tmp_path / "code.txt"

@@ -15,7 +15,6 @@ from cube_spectra import (
     LinearCode,
     SubsetGraph,
     VerificationError,
-    build_covering_witness,
     check_covering,
     check_prop_ineq,
     convolve,
@@ -31,7 +30,6 @@ from cube_spectra import (
     min_distance,
     min_radius_for_lambda,
     moments,
-    phi_from_code,
     random_code,
     wht,
 )
@@ -58,6 +56,7 @@ from cube_spectra.lp_witness import (
     _premise_ok,
     _random_chunks,
 )
+from oracles import build_covering_witness, phi_from_code
 
 
 def test_build_covering_witness_delta_case():

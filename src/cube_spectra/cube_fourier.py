@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -56,10 +55,14 @@ def krawtchouk(n: int) -> np.ndarray:
     """Read-only int64 K[i, w] = sum over |x| = i of (-1)^<x,S>, any |S| = w.
 
     If f(x) = g(|x|), then 2^n (wht f)(S) = sum_i g(i) K[i, |S|].  K[i, 0]
-    is C(n, i), and |K[i, w]| <= C(n, i).
+    is C(n, i), and |K[i, w]| <= C(n, i).  Rows by the three-term recurrence
+    (i + 1) K[i + 1] = (n - 2w) K[i] - (n - i + 1) K[i - 1], from K[0] = 1:
+    the division is exact, and no product leaves int64 within the cap.
     """
-    k = np.array([[sum((-1) ** j * comb(w, j) * comb(n - w, i - j) for j in range(i + 1))
-                   for w in range(n + 1)] for i in range(n + 1)], dtype=np.int64)
+    w = np.arange(n + 1)
+    k = np.ones((n + 1, n + 1), dtype=np.int64)
+    for i in range(n):
+        k[i + 1] = ((n - 2 * w) * k[i] - (n - i + 1) * (k[i - 1] if i else 0)) // (i + 1)
     k.flags.writeable = False
     return k
 

@@ -437,10 +437,41 @@ def _coset_keys(n: int, k: int) -> np.ndarray:
         parts.append((sub[:, None, :] + (sub[:, z ^ z[:, None]] << 7)).reshape(-1, len(z)))
     if k < n:
         sub = _coset_keys(n - 1, k)
-        parts.append(np.stack([sub, sub << 7], axis=-1).reshape(len(sub), -1))
+        parts.append((sub[..., None] << np.array([0, 7])).reshape(len(sub), -1))
     keys = np.concatenate(parts)
     keys.flags.writeable = False
     return keys
+
+
+def _splitmix64(x: int) -> int:
+    """The splitmix64 output word for state x (Steele, Lea and Flood, 2014)."""
+    z = (x + 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return z ^ z >> 31
+
+
+# One odd multiplier a column of the widest coset table, 2^7 at n <= 8; fixed
+# words, not numpy.random, which the sweep would otherwise never load
+_ROW_HASH = np.array([_splitmix64(c) | 1 for c in range(1, 129)], dtype=np.uint64)
+
+
+def _row_classes(table: np.ndarray):
+    """(at, cls): the classes of equal rows of an int64 table.
+
+    One stable sort by a mixed hash, sum_c m_c x_c mod 2^64, puts equal rows
+    in one run, and a class starts wherever a row differs from the one
+    before it.  A hash collision can only split a class, never merge two
+    rows, so the classes are exact whatever the multipliers.  at is each
+    class's least row, and cls maps each row to its class.
+    """
+    order = np.argsort(table.view(np.uint64) @ _ROW_HASH[: table.shape[1]], kind="stable")
+    rows = table[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    cls = np.empty(len(rows), dtype=np.intp)
+    cls[order] = np.cumsum(new) - 1
+    return order[new], cls
 
 
 def _linear_entries(n: int):
@@ -452,7 +483,7 @@ def _linear_entries(n: int):
     a tail code C' | 0 with leader weights L'[z] and 1 + L'[z] and key K'[0].
     Both read C' only through its row K', so the equal rows of a table are
     one class.  One pass takes the tables E(n-1, j), j = 0..n-1, in turn,
-    each sorted once (one np.unique over the rows' bytes), and yields its
+    each sorted once (one hashed sort, :func:`_row_classes`), and yields its
     tails of dimension j (none at j = 0), then its heads of dimension j + 1:
     that is the family order.  An entry is a class with a translate t (0
     for a tail): it stands for mult codes of its block,
@@ -468,9 +499,8 @@ def _linear_entries(n: int):
     keys, sums, mult, first, start = [], [], [], [], 0
     for j in range(n):
         parents = _coset_keys(n - 1, j)
-        _, at, cls = np.unique(parents.view(f"V{8 * parents.shape[1]}")[:, 0],
-                               return_index=True, return_inverse=True)
-        rows, members = parents[at], np.bincount(cls)  # a class each, in byte order
+        at, cls = _row_classes(parents)
+        rows, members = parents[at], np.bincount(cls)  # a class each, in hash order
         u = np.uint64(0x0101010101010101) << np.bitwise_count((rows & -rows) - 1) // 7 * 8
         if j:  # the tails C' | 0, a code a parent
             keys.append(rows[:, 0])

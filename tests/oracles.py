@@ -2,7 +2,8 @@
 
 Each function states a fact the library's fast paths must agree with: the
 optimum code size by exhaustive search, the dual of a linear code, the
-adjacency operator as a convolution kernel, the asymptotic covering radii
+adjacency operator as a convolution kernel, the Krawtchouk matrix by its
+defining sums, the asymptotic covering radii
 that the finite bounds are compared against, and the paper's two dense
 witnesses, phi (with F = phi * f for the size bound) and F = 1_C * f for
 the covering bound, whose moments the library reads off weight space.
@@ -112,6 +113,17 @@ def adjacency_kernel(n: int) -> CubeFunction:
     """
     vals = np.where(hamming_weights(n) == 1, float(1 << n), 0.0)
     return CubeFunction(n, vals)
+
+
+def krawtchouk_sums(n: int) -> np.ndarray:
+    """int64 K[i, w] = sum_j (-1)^j C(w, j) C(n - w, i - j), the defining sums.
+
+    Counting x of weight i by the j ones it shares with an S of weight w
+    gives sum over |x| = i of (-1)^<x,S>.
+    """
+    return np.array([[sum((-1) ** j * math.comb(w, j) * math.comb(n - w, i - j)
+                           for j in range(i + 1))
+                      for w in range(n + 1)] for i in range(n + 1)], dtype=np.int64)
 
 
 def phi_from_code(c: Code) -> CubeFunction:

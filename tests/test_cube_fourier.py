@@ -18,7 +18,7 @@ from cube_spectra import (
     wht,
 )
 from cube_spectra import cube_fourier
-from oracles import adjacency_kernel
+from oracles import adjacency_kernel, krawtchouk_sums
 
 
 def test_wht_constant_is_delta():
@@ -208,6 +208,15 @@ def test_dimension_cap_is_read_at_call_time(monkeypatch):
         CubeFunction(4, np.zeros(16))
     monkeypatch.undo()
     CubeFunction(4, np.zeros(16))  # fine again
+
+
+def test_krawtchouk_recurrence_matches_the_defining_sums():
+    # the three-term recurrence against the comb sums it replaced, at every
+    # dimension a transform accepts
+    for n in range(cube_fourier.TRANSFORM_DIMENSION_CAP + 1):
+        k = cube_fourier.krawtchouk(n)
+        assert k.dtype == np.int64 and not k.flags.writeable
+        np.testing.assert_array_equal(k, krawtchouk_sums(n), err_msg=str(n))
 
 
 def test_values_are_frozen():

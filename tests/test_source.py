@@ -1,4 +1,5 @@
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -54,3 +55,18 @@ def test_the_package_imports_only_itself_numpy_and_the_standard_library():
             foreign += [(f.stem, name) for name in names
                         if name.split(".")[0] not in {"numpy", *sys.stdlib_module_names}]
     assert foreign == []
+
+
+def test_the_all_linear_sweep_leaves_numpy_random_unloaded():
+    # loading numpy.random costs about 6 MB of resident memory: drawing the
+    # sweep's hash multipliers from it once took the benchmark's all-linear
+    # peak RSS from 39.2 to 45.6 MB.  A child process starts with a clean
+    # sys.modules
+    code = (
+        "import sys; from cube_spectra import exhaustive_verify; "
+        "exhaustive_verify(7, 'all-linear'); print('numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout == "False\n"

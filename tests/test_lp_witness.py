@@ -466,10 +466,10 @@ def test_row_classes_are_exact_when_every_hash_collides(monkeypatch):
                 per = parents.shape[1] if head else 1
                 block = (start <= first) & (first < start + len(parents) * per)
                 at, t = np.divmod(first[block] - start, per)
-                runs = np.flatnonzero(np.r_[True, (parents[1:] != parents[:-1]).any(axis=1)])
+                new = np.r_[True, (parents[1:] != parents[:-1]).any(axis=1)]
+                runs, cls = np.flatnonzero(new), np.cumsum(new) - 1  # each code's run
                 np.testing.assert_array_equal(at[t == 0], runs)  # a run each, by least code
                 np.testing.assert_array_equal(mult[block][t == 0], np.diff(runs, append=len(parents)))
-                cls = np.cumsum(np.isin(np.arange(len(parents)), runs)) - 1  # each code's run
                 np.testing.assert_array_equal(parents[runs][cls], parents)
                 assert sorted(t.tolist()) == sorted(list(range(per)) * len(runs))
                 start += len(parents) * per

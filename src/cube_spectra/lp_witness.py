@@ -39,8 +39,7 @@ All radii are one matrix product.  A sweep takes its codes in one order
 covered counts and weight profile: the float checks run once per distinct
 profile, the exact covering count once per entry (for a linear code, |C|
 times the cosets with a leader within r, every r in the bytes of one word;
-dilations of the bit-packed indicator for any other).  An explicit subset B
-runs the same sums over all 2^n points.
+dilations of the bit-packed indicator for any other).
 
 Reports never silently skip: an unmet premise is a verdict, and a violated
 inequality on valid inputs signals an implementation bug and is raised
@@ -61,31 +60,29 @@ from typing import Optional
 import numpy as np
 
 from .ball_spectra import (
-    SubsetGraph,
     lambda_ball_exact,  # noqa: F401  unused here; perfbench/spans.py wraps it by name
     lambda_for_radius_recurrence,
-    subset_top_eigenpair,
+    subset_top_eigenpair,  # noqa: F401  unused here; perfbench/spans.py wraps it by name
 )
 from .bounds import ball_size
 from .codes import (
     Code,
-    autocorrelation,
-    dual_distance,
+    autocorrelation,  # noqa: F401  unused here; perfbench/spans.py wraps it by name
+    dual_distance,  # noqa: F401  unused here; perfbench/spans.py wraps it by name
     enumerate_linear_codes,
     first_positive_weight,
     linear_weight_spectra,
-    min_distance,
+    min_distance,  # noqa: F401  unused here; perfbench/spans.py wraps it by name
     random_code,
     weight_spectra,
 )
 from .cube_fourier import (
-    CubeFunction,
     convolve,  # noqa: F401  unused here; perfbench/spans.py wraps it by name
-    essential_support_size,
+    essential_support_size,  # noqa: F401  unused here; perfbench/spans.py wraps it by name
     inverse_wht,  # noqa: F401  unused here; perfbench/spans.py wraps it by name
     krawtchouk,
     sweep_dimension_cap,
-    wht,
+    wht,  # noqa: F401  unused here; perfbench/spans.py wraps it by name
 )
 
 DEFAULT_TOL = 1e-9  # slack allowed in the float checks (verify --tol)
@@ -203,14 +200,6 @@ def _covered_counts(mask: np.ndarray, n: int, r_max: int) -> np.ndarray:
     return counts
 
 
-def _covered_union_subset(c: Code, subset: SubsetGraph) -> int:
-    members = np.array(subset.members, dtype=np.int64)
-    mask = np.zeros(1 << c.n, dtype=bool)
-    for z in c.points:
-        mask[members ^ z] = True
-    return int(mask.sum())
-
-
 def _check_sweep_cap(n: int) -> None:
     if n > (cap := sweep_dimension_cap()):
         raise ValueError(f"exact sweep capped at n={cap}, got n={n}")
@@ -299,48 +288,14 @@ def _inequalities(prop, n, m, size, b_size, ess_f, ef, ef_sq, phi_ratio, covered
     return holds
 
 
-def _check(k: int, c: Code, r, subset, tol) -> PropositionReport:
-    """Report of proposition k (0 size, 1 covering) for one code.
-
-    B is the ball of radius r, with the witness of :func:`_ball_table`, or
-    an explicit subset, with the top eigenvector of its induced adjacency;
-    exactly one of r and subset is given.  The exhaustive driver builds its
-    violation reports here too, so a dump is the single check's report.
-    """
+def _report(k: int, c: Code, r, d, lam, ess_f, b_size, ef, ef_sq, phi_ratio, covered,
+            tol) -> PropositionReport:
+    """Report of proposition k (0 size, 1 covering) from the numbers of one B."""
     n, prop, size_prop = c.n, (PROP_SIZE, PROP_COVERING)[k], k == 0
-    _check_tol(tol)
-    if (r is None) == (subset is None):
-        raise ValueError("pass exactly one of a ball radius or an explicit subset")
-    _check_sweep_cap(n)
-    if subset is None:
-        if not 0 <= r <= n:
-            raise ValueError(f"radius must be in [0, n], got {r}")
-        mask = _indicators([c], n)
-        covered = int(_covered_counts(mask, n, r)[0, r]) if k else None
-        d, ef, ef_sq, phi_ratio = _ball_moments(weight_spectra(mask), n, r)
-        d, ef, ef_sq = d[0, k], ef[0, r, k], ef_sq[0, r, k]
-        lam, ess_f, b_size = (a[r] for a in _ball_table(n)[:3])
-    else:
-        if subset.n != n:
-            raise ValueError(f"dimension mismatch: code n={n}, subset n={subset.n}")
-        lam, vec = subset_top_eigenpair(subset)
-        vals = np.zeros(1 << n)
-        vals[list(subset.members)] = vec
-        f = CubeFunction(n, vals)
-        d = dual_distance(c) if k else min_distance(c)
-        ef, ef_sq, phi_ratio = _moments(
-            autocorrelation(c).values[None, :], wht(c.indicator()).values[None, :] ** 2,
-            wht(f).values[None, :],
-        )
-        ef, ef_sq = ef[0, 0, k], ef_sq[0, 0, k]
-        ess_f, b_size = essential_support_size(f), subset.size
-        covered = _covered_union_subset(c, subset) if k else None
     d, lam, ess_f, b_size = int(d), float(lam), float(ess_f), int(b_size)
-    ef, ef_sq, phi_ratio = float(ef), float(ef_sq), float(phi_ratio[0])
+    ef, ef_sq, phi_ratio = float(ef), float(ef_sq), float(phi_ratio)
     premise_ok, m = bool(_premise_ok(n, d, lam, tol)), max(n, 2 * d)
-    holds = _inequalities(
-        prop, n, m, c.size, b_size, ess_f, ef, ef_sq, phi_ratio, covered, tol
-    )
+    holds = _inequalities(prop, n, m, c.size, b_size, ess_f, ef, ef_sq, phi_ratio, covered, tol)
     failures = tuple(name for name, ok in holds.items() if premise_ok and not ok)
     if not premise_ok:
         ef = ef_sq = phi_ratio = None
@@ -358,36 +313,47 @@ def _check(k: int, c: Code, r, subset, tol) -> PropositionReport:
     )
 
 
-def check_prop_ineq(
-    c: Code,
-    ball_r: Optional[int] = None,
-    subset: Optional[SubsetGraph] = None,
-    tol: float = DEFAULT_TOL,
-) -> PropositionReport:
+def _check(k: int, c: Code, r: int, tol) -> PropositionReport:
+    """Report of proposition k (0 size, 1 covering) for one code.
+
+    B is the ball of radius r, with the witness of :func:`_ball_table`.
+    The exhaustive driver builds its violation reports here too, so a dump
+    is the single check's report.
+    """
+    n = c.n
+    _check_tol(tol)
+    _check_sweep_cap(n)
+    if not 0 <= r <= n:
+        raise ValueError(f"radius must be in [0, n], got {r}")
+    mask = _indicators([c], n)
+    covered = int(_covered_counts(mask, n, r)[0, r]) if k else None
+    d, ef, ef_sq, phi_ratio = _ball_moments(weight_spectra(mask), n, r)
+    lam, ess_f, b_size = (a[r] for a in _ball_table(n)[:3])
+    return _report(k, c, r, d[0, k], lam, ess_f, b_size, ef[0, r, k], ef_sq[0, r, k],
+                   phi_ratio[0], covered, tol)
+
+
+def check_prop_ineq(c: Code, ball_r: int, tol: float = DEFAULT_TOL) -> PropositionReport:
     """Check |C| <= m |B|, m = max(n, 2d), and the inequality chain behind it.
 
-    B is a Hamming ball (by radius) or an explicit subset; the premise is
-    that its top induced eigenvalue reaches n - 2d + 1, with d the minimal
-    distance of the code.  An unmet premise is a verdict, not an error.
-    ``tol`` must be finite and at most 1e-6.
+    B is the Hamming ball of radius ``ball_r``; the premise is that its top
+    induced eigenvalue reaches n - 2d + 1, with d the minimal distance of
+    the code.  An unmet premise is a verdict, not an error.  ``tol`` must be
+    finite and at most 1e-6.
     """
-    return _check(0, c, ball_r, subset, tol)
+    return _check(0, c, ball_r, tol)
 
 
-def check_covering(
-    c: Code,
-    r: Optional[int] = None,
-    subset: Optional[SubsetGraph] = None,
-    tol: float = DEFAULT_TOL,
-) -> PropositionReport:
+def check_covering(c: Code, r: int, tol: float = DEFAULT_TOL) -> PropositionReport:
     """Check that shifted copies of B around the code cover a 1/m fraction.
 
-    The premise is that of :func:`check_prop_ineq` with d the dual distance
-    of the code, and m = max(n, 2d).  The covered-union cardinality is
+    B is the ball of radius r, and the premise is that of
+    :func:`check_prop_ineq` with d the dual distance of the code, and
+    m = max(n, 2d).  The covered-union cardinality is
     computed exactly and compared exactly; only the moment inequality uses
     the floating tolerance.
     """
-    return _check(1, c, r, subset, tol)
+    return _check(1, c, r, tol)
 
 
 # --- exhaustive driver ------------------------------------------------------------
@@ -597,7 +563,7 @@ def exhaustive_verify(
             family = _family(n, mode, trials, seed)
             build, context = next(itertools.islice(family, int(first[e]), None))
             code = build()
-            rep = _check(k, code, r, None, tol)
+            rep = _check(k, code, r, tol)
             raise VerificationError(rep, code, {"seed": seed, **context})
         holds += int(mult @ premise.sum(axis=(1, 2))[inv])
         count += int(mult.sum())

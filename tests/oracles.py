@@ -7,10 +7,13 @@ defining sums, the asymptotic covering radii
 that the finite bounds are compared against, and the paper's two dense
 witnesses, phi (with F = phi * f for the size bound) and F = 1_C * f for
 the covering bound, whose moments the library reads off weight space.
+The two proposition checks also take B as an explicit subset, as the
+paper states them, with the moments summed over all 2^n points.
 """
 
 import math
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -19,12 +22,20 @@ from cube_spectra import (
     Code,
     CubeFunction,
     LinearCode,
+    PropositionReport,
+    SubsetGraph,
     autocorrelation,
     convolve,
+    dual_distance,
+    essential_support_size,
     hamming_weights,
     inverse_wht,
+    lp_witness,
+    min_distance,
     min_radius_for_lambda,
+    wht,
 )
+from cube_spectra.ball_spectra import subset_top_eigenpair
 
 
 @lru_cache(maxsize=None)
@@ -180,3 +191,61 @@ def tietavainen_bound(n: int, d: int) -> float:
         raise ValueError(f"need 1 <= d <= n, got n={n} d={d}")
     half = d / 2.0
     return n / 2.0 - math.sqrt(half * (n - half))
+
+
+def _covered_union_subset(c: Code, subset: SubsetGraph) -> int:
+    members = np.array(subset.members, dtype=np.int64)
+    mask = np.zeros(1 << c.n, dtype=bool)
+    for z in c.points:
+        mask[members ^ z] = True
+    return int(mask.sum())
+
+
+def _check(k: int, c: Code, r, subset, tol) -> PropositionReport:
+    """Report of proposition k (0 size, 1 covering) for one code.
+
+    B is the ball of radius r, checked by the package, or an explicit
+    subset, with the top eigenvector of its induced adjacency; exactly one
+    of r and subset is given.
+    """
+    n = c.n
+    lp_witness._check_tol(tol)
+    if (r is None) == (subset is None):
+        raise ValueError("pass exactly one of a ball radius or an explicit subset")
+    lp_witness._check_sweep_cap(n)
+    if subset is None:
+        return (lp_witness.check_prop_ineq, lp_witness.check_covering)[k](c, r, tol)
+    if subset.n != n:
+        raise ValueError(f"dimension mismatch: code n={n}, subset n={subset.n}")
+    lam, vec = subset_top_eigenpair(subset)
+    vals = np.zeros(1 << n)
+    vals[list(subset.members)] = vec
+    f = CubeFunction(n, vals)
+    d = dual_distance(c) if k else min_distance(c)
+    ef, ef_sq, phi_ratio = lp_witness._moments(
+        autocorrelation(c).values[None, :], wht(c.indicator()).values[None, :] ** 2,
+        wht(f).values[None, :],
+    )
+    covered = _covered_union_subset(c, subset) if k else None
+    return lp_witness._report(k, c, None, d, lam, essential_support_size(f), subset.size,
+                              ef[0, 0, k], ef_sq[0, 0, k], phi_ratio[0], covered, tol)
+
+
+def check_prop_ineq(
+    c: Code,
+    ball_r: Optional[int] = None,
+    subset: Optional[SubsetGraph] = None,
+    tol: float = lp_witness.DEFAULT_TOL,
+) -> PropositionReport:
+    """The package's size check, with B a Hamming ball (by radius) or an explicit subset."""
+    return _check(0, c, ball_r, subset, tol)
+
+
+def check_covering(
+    c: Code,
+    r: Optional[int] = None,
+    subset: Optional[SubsetGraph] = None,
+    tol: float = lp_witness.DEFAULT_TOL,
+) -> PropositionReport:
+    """The package's covering check, with B a Hamming ball (by radius) or an explicit subset."""
+    return _check(1, c, r, subset, tol)

@@ -19,8 +19,6 @@ from cube_spectra import (
     CubeFunction,
     SubsetGraph,
     ball_size,
-    check_covering,
-    check_prop_ineq,
     convolve,
     exhaustive_verify,
     finite_code_bound,
@@ -127,6 +125,8 @@ def test_criterion_4_lemma_trend():
 
 
 def test_criterion_5_proposition_exhaustion():
+    from oracles import check_covering, check_prop_ineq
+
     linear_summaries = [exhaustive_verify(n, "all-linear") for n in range(1, 8)]
     random_summaries = [
         exhaustive_verify(n, "random-general", trials=1000, seed=n)

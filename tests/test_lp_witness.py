@@ -139,6 +139,8 @@ def test_check_covering_two_word_code_ball():
 
 
 def test_check_covering_subset_edge_equality():
+    from oracles import check_covering
+
     c = Code(4, (0b0000, 0b1111))
     rep = check_covering(c, subset=SubsetGraph(4, (0b0000, 0b0001)))
     assert rep.verdict == VERDICT_HOLDS
@@ -161,6 +163,8 @@ def test_check_covering_whole_cube():
 
 
 def test_check_prop_ineq_even_weight_edge_equality():
+    from oracles import check_prop_ineq
+
     c = even_weight_code(4)
     rep = check_prop_ineq(c, subset=SubsetGraph(4, (0b0000, 0b0001)))
     assert rep.verdict == VERDICT_HOLDS
@@ -179,6 +183,8 @@ def test_check_prop_ineq_antipodal_pair_beyond_half_distance():
 
 
 def test_check_prop_ineq_even_weight_code_of_length_three_is_tight():
+    from oracles import check_prop_ineq
+
     # lambda_B = 0 = n - 2d + 1 for B = {0}; |C| = 4 exceeds n |B| = 3 but
     # meets m |B| = 2d |B| = 4, with ef_sq = m * ef2
     c = even_weight_code(3)
@@ -199,6 +205,8 @@ def test_check_prop_ineq_hamming_code_ball():
 
 
 def test_check_requires_exactly_one_route():
+    from oracles import check_covering, check_prop_ineq
+
     c = Code(3, (0, 7))
     with pytest.raises(ValueError, match="exactly one"):
         check_prop_ineq(c)
@@ -237,9 +245,13 @@ def test_covered_fraction_cap(monkeypatch):
 def test_single_code_checks_share_the_sweep_cap():
     # both checks on both routes refuse n = 25 at once; past the cap they
     # would allocate gigabytes, so a child process bounds time and memory
+    from pathlib import Path
+
     code = (
-        "import json, time\n"
-        "from cube_spectra import Code, SubsetGraph, check_covering, check_prop_ineq\n"
+        "import json, sys, time\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from cube_spectra import Code, SubsetGraph\n"
+        "from oracles import check_covering, check_prop_ineq\n"
         "c, out = Code(25, (0, 1)), []\n"
         "for check in (check_covering, check_prop_ineq):\n"
         "    for route in ((1,), (None, SubsetGraph(25, (0, 1)))):\n"
@@ -397,13 +409,13 @@ def test_linear_chunks_span_every_code_in_family_order():
 
 
 def test_parent_row_classes_are_exact():
-    # entries come from classes of equal coset-table rows, found by one sort
-    # of the rows' bytes a table: E(n - 1, j) is sorted once and serves the
-    # tails of dimension j and the heads of j + 1.  In every parent block
-    # with n <= 8 the class rows, indexed by each parent's class, must give
-    # back the parents' table, the classes must be distinct and named by
-    # their first parent, and the entries' multiplicities must add up to
-    # the block's code count
+    # entries come from classes of equal coset-table rows, found by one
+    # hashed sort a table (_row_classes): E(n - 1, j) is sorted once and
+    # serves the tails of dimension j and the heads of j + 1.  In every
+    # parent block with n <= 8 the class rows, indexed by each parent's
+    # class, must give back the parents' table, the classes must be distinct
+    # and named by their first parent, and the entries' multiplicities must
+    # add up to the block's code count
     for n in range(1, 9):
         _, _, _, mult, first = _linear_entries(n)
         start = 0

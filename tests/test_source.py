@@ -70,3 +70,60 @@ def test_the_all_linear_sweep_leaves_numpy_random_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True,
     )
     assert proc.stdout == "False\n"
+
+
+def test_the_unused_import_markers_are_exactly_the_perfbench_bindings():
+    # an import marked "noqa: F401" stays only so that perfbench can wrap
+    # the name in that module's namespace: the marked names must be the
+    # CROSS_CALLS names a module imports and does not use, so a stale mark
+    # and a missing one both fail here
+    spans = ast.parse(SPANS.read_text(encoding="utf-8"))
+    cross = next(ast.literal_eval(node.value) for node in spans.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["CROSS_CALLS"])
+    bound = {(module, name) for module, name, _ in cross}
+    marked, expected = set(), set()
+    for f in FILES:
+        text = f.read_text(encoding="utf-8")
+        lines, tree = text.splitlines(), ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if "# noqa: F401" in lines[alias.lineno - 1]:
+                    marked.add((f.stem, name))
+                if (f.stem, name) in bound and name not in used:
+                    expected.add((f.stem, name))
+    assert marked == expected
+
+
+def test_the_bound_and_single_check_paths_leave_numpy_random_unloaded(tmp_path):
+    # the 6 MB of numpy.random, kept off the bound queries, the single-code
+    # checks and every CLI command but random-general verification, which
+    # draws its codes from it.  Each CLI call must exit 0, so that no path
+    # passes by stopping early
+    path = tmp_path / "code.txt"
+    path.write_text("0000\n0111\n1011\n1100\n", encoding="utf-8")
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from cube_spectra import Code, check_covering, check_prop_ineq, cli, finite_code_bound\n"
+        "finite_code_bound(1000, 100)\n"
+        "c = Code(5, (0, 0b00111, 0b11001, 0b11110))\n"
+        "check_prop_ineq(c, ball_r=1)\n"
+        "check_covering(c, r=2)\n"
+        f"p = {str(path)!r}\n"
+        "rcs = []\n"
+        "for argv in (['bound', '--n', '1000', '--d', '100'],\n"
+        "             ['lambda', '--n', '6', '--r', '2', '--bruteforce'],\n"
+        "             ['verify', '--code', p, '--r', '1'], ['cover', '--code', p, '--r', '1'],\n"
+        "             ['wht', '--code', p]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rcs.append(cli.main(argv))\n"
+        "print(json.dumps([rcs, 'numpy.random' in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout == "[[0, 0, 0, 0, 0], false]\n"

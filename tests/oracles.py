@@ -204,17 +204,18 @@ def _covered_union_subset(c: Code, subset: SubsetGraph) -> int:
 def _check(k: int, c: Code, r, subset, tol) -> PropositionReport:
     """Report of proposition k (0 size, 1 covering) for one code.
 
-    B is the ball of radius r, checked by the package, or an explicit
-    subset, with the top eigenvector of its induced adjacency; exactly one
-    of r and subset is given.
+    B is the ball of radius r, handed to the package before any check here
+    so that the package's own checks run, or an explicit subset, with the
+    top eigenvector of its induced adjacency; exactly one of r and subset
+    is given.
     """
+    if subset is None and r is not None:
+        return (lp_witness.check_prop_ineq, lp_witness.check_covering)[k](c, r, tol)
     n = c.n
     lp_witness._check_tol(tol)
     if (r is None) == (subset is None):
         raise ValueError("pass exactly one of a ball radius or an explicit subset")
     lp_witness._check_sweep_cap(n)
-    if subset is None:
-        return (lp_witness.check_prop_ineq, lp_witness.check_covering)[k](c, r, tol)
     if subset.n != n:
         raise ValueError(f"dimension mismatch: code n={n}, subset n={subset.n}")
     lam, vec = subset_top_eigenpair(subset)

@@ -18,25 +18,34 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-def test_every_imported_name_is_used():
-    # catches an import left behind by a deletion.  A name that perfbench
-    # wraps in a module's namespace (its CROSS_CALLS) may be imported unused.
+def _imports_and_perfbench_bindings():
+    # per package module: its source lines, the names it uses, and each
+    # name it imports with that alias's line number; with the (module,
+    # name) pairs that perfbench wraps in a module's namespace (CROSS_CALLS)
     spans = ast.parse(SPANS.read_text(encoding="utf-8"))
     cross = next(ast.literal_eval(node.value) for node in spans.body
                  if isinstance(node, ast.Assign)
                  and [getattr(t, "id", None) for t in node.targets] == ["CROSS_CALLS"])
-    allowed = {(module, name) for module, name, _ in cross}
-    unused = []
+    modules = {}
     for f in FILES:
-        if f.stem == "__init__":
-            continue
-        tree = ast.parse(f.read_text(encoding="utf-8"))
+        text = f.read_text(encoding="utf-8")
+        tree = ast.parse(text)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [(f.stem, name) for node in ast.walk(tree)
-                   if isinstance(node, (ast.Import, ast.ImportFrom))
-                   and getattr(node, "module", None) != "__future__"
-                   for name in (a.asname or a.name.split(".")[0] for a in node.names)
-                   if name not in used and (f.stem, name) not in allowed]
+        imported = [(a.asname or a.name.split(".")[0], a.lineno) for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for a in node.names]
+        modules[f.stem] = (text.splitlines(), used, imported)
+    return modules, {(module, name) for module, name, _ in cross}
+
+
+def test_every_imported_name_is_used():
+    # catches an import left behind by a deletion.  A name that perfbench
+    # wraps in a module's namespace (its CROSS_CALLS) may be imported unused.
+    modules, allowed = _imports_and_perfbench_bindings()
+    unused = [(stem, name) for stem, (_, used, imported) in modules.items()
+              if stem != "__init__" for name, _ in imported
+              if name not in used and (stem, name) not in allowed]
     assert unused == []
 
 
@@ -77,25 +86,11 @@ def test_the_unused_import_markers_are_exactly_the_perfbench_bindings():
     # the name in that module's namespace: the marked names must be the
     # CROSS_CALLS names a module imports and does not use, so a stale mark
     # and a missing one both fail here
-    spans = ast.parse(SPANS.read_text(encoding="utf-8"))
-    cross = next(ast.literal_eval(node.value) for node in spans.body
-                 if isinstance(node, ast.Assign)
-                 and [getattr(t, "id", None) for t in node.targets] == ["CROSS_CALLS"])
-    bound = {(module, name) for module, name, _ in cross}
-    marked, expected = set(), set()
-    for f in FILES:
-        text = f.read_text(encoding="utf-8")
-        lines, tree = text.splitlines(), ast.parse(text)
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                if "# noqa: F401" in lines[alias.lineno - 1]:
-                    marked.add((f.stem, name))
-                if (f.stem, name) in bound and name not in used:
-                    expected.add((f.stem, name))
+    modules, bound = _imports_and_perfbench_bindings()
+    marked = {(stem, name) for stem, (lines, _, imported) in modules.items()
+              for name, lineno in imported if "# noqa: F401" in lines[lineno - 1]}
+    expected = {(stem, name) for stem, (_, used, imported) in modules.items()
+                for name, _ in imported if (stem, name) in bound and name not in used}
     assert marked == expected
 
 
